@@ -8,16 +8,15 @@ definable contexts and bracket the original one.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Literal
+from typing import Callable, Iterable, Literal
 
 from .context import (
     ApproximationSpace,
+    AttributeSet,
     FormalContext,
     ObjectSet,
-    derive_extent,
-    lower_approx_set,
+    _mask,
     require_same_universe,
-    upper_approx_set,
 )
 from .errors import InvalidSetError, ShapeMismatchError
 
@@ -25,18 +24,40 @@ OrderMode = Literal["upper", "lower", "rough"]
 _MODES = ("upper", "lower", "rough")
 
 
+def _approx_context(
+    space: ApproximationSpace, ctx: FormalContext, combine: Callable[..., AttributeSet]
+) -> FormalContext:
+    # A column meets (contains) a block iff some (every) row of the block
+    # has the attribute, so each row becomes the union (intersection) of
+    # its block's rows.
+    require_same_universe(space, ctx)
+    rows = list(ctx.rows)
+    for block in space.blocks:
+        row = combine(*(ctx.rows[g] for g in block))
+        for g in block:
+            rows[g] = row
+    return FormalContext(ctx.objects, ctx.attributes, tuple(rows))
+
+
 def upper_context(space: ApproximationSpace, ctx: FormalContext) -> FormalContext:
     """Columnwise upper approximation: the least definable context containing ``ctx``."""
-    require_same_universe(space, ctx)
-    columns = [upper_approx_set(space, column) for column in ctx.columns]
-    return FormalContext.from_columns(ctx.objects, ctx.attributes, columns)
+    return _approx_context(space, ctx, frozenset.union)
 
 
 def lower_context(space: ApproximationSpace, ctx: FormalContext) -> FormalContext:
     """Columnwise lower approximation: the greatest definable context inside ``ctx``."""
+    return _approx_context(space, ctx, frozenset.intersection)
+
+
+def _extent_mask(
+    space: ApproximationSpace, ctx: FormalContext, attrs: Iterable[int], approx: Callable[[int], int]
+) -> int:
+    """Extent of ``attrs`` in the ``approx``-approximated context, without building it."""
     require_same_universe(space, ctx)
-    columns = [lower_approx_set(space, column) for column in ctx.columns]
-    return FormalContext.from_columns(ctx.objects, ctx.attributes, columns)
+    out = (1 << len(ctx.objects)) - 1
+    for m in ctx.check_attribute_set(attrs):
+        out &= approx(ctx._col_masks[m])
+    return out
 
 
 def extent_upper_free(
@@ -49,13 +70,7 @@ def extent_upper_free(
     context); an object belongs iff it possibly carries every listed
     attribute individually.
     """
-    require_same_universe(space, ctx)
-    members = ctx.check_attribute_set(attributes)
-    if not members:
-        return frozenset(range(len(ctx.objects)))
-    return frozenset.intersection(
-        *(upper_approx_set(space, ctx.columns[m]) for m in members)
-    )
+    return space._blocks_meeting(_extent_mask(space, ctx, attributes, space._upper))
 
 
 def extent_upper_strict(
@@ -68,7 +83,7 @@ def extent_upper_strict(
     extent.
     """
     require_same_universe(space, ctx)
-    return upper_approx_set(space, derive_extent(ctx, attributes))
+    return space._blocks_meeting(ctx._extent(_mask(ctx.check_attribute_set(attributes))))
 
 
 def extent_lower(
@@ -79,13 +94,7 @@ def extent_lower(
     Intersecting the lowered columns and lowering the intersected extent
     coincide, so there is a single lower variant.
     """
-    require_same_universe(space, ctx)
-    members = ctx.check_attribute_set(attributes)
-    if not members:
-        return frozenset(range(len(ctx.objects)))
-    return frozenset.intersection(
-        *(lower_approx_set(space, ctx.columns[m]) for m in members)
-    )
+    return space._blocks_meeting(_extent_mask(space, ctx, attributes, space._lower))
 
 
 def _resolve_object(ctx: FormalContext, obj: int | str) -> int:
@@ -103,7 +112,8 @@ def possibly_has(
     attributes: Iterable[int],
 ) -> bool:
     """Whether the object possibly has every attribute in the set."""
-    return _resolve_object(ctx, obj) in extent_upper_free(space, ctx, attributes)
+    g = _resolve_object(ctx, obj)
+    return bool(_extent_mask(space, ctx, attributes, space._upper) >> g & 1)
 
 
 def certainly_has(
@@ -113,7 +123,8 @@ def certainly_has(
     attributes: Iterable[int],
 ) -> bool:
     """Whether the object certainly has every attribute in the set."""
-    return _resolve_object(ctx, obj) in extent_lower(space, ctx, attributes)
+    g = _resolve_object(ctx, obj)
+    return bool(_extent_mask(space, ctx, attributes, space._lower) >> g & 1)
 
 
 def _require_same_shape(first: FormalContext, second: FormalContext) -> None:
@@ -143,11 +154,12 @@ def context_order(
         raise ValueError(f"unknown order mode {mode!r}")
     _require_same_shape(first, second)
     require_same_universe(space, first)
+    columns = list(zip(first._col_masks, second._col_masks))
     ok = True
     if mode in ("upper", "rough"):
-        ok = relation_subset(upper_context(space, first), upper_context(space, second))
+        ok = all(not space._upper(a) & ~space._upper(b) for a, b in columns)
     if ok and mode in ("lower", "rough"):
-        ok = relation_subset(lower_context(space, first), lower_context(space, second))
+        ok = all(not space._lower(a) & ~space._lower(b) for a, b in columns)
     return ok
 
 
@@ -157,9 +169,10 @@ def contexts_roughly_equal(
     """Whether both approximations of the two contexts coincide exactly."""
     _require_same_shape(first, second)
     require_same_universe(space, first)
-    return upper_context(space, first) == upper_context(space, second) and lower_context(
-        space, first
-    ) == lower_context(space, second)
+    return all(
+        space._upper(a) == space._upper(b) and space._lower(a) == space._lower(b)
+        for a, b in zip(first._col_masks, second._col_masks)
+    )
 
 
 @dataclass(frozen=True, eq=False)

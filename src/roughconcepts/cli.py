@@ -13,8 +13,8 @@ import sys
 from pathlib import Path
 
 from .approx import extent_lower, extent_upper_free, extent_upper_strict, lower_context, upper_context
-from .concepts import approximation_maps, indiscernibility_kernels, rough_concept_classes
-from .context import ApproximationSpace, FormalContext, definable_attributes, derive_extent
+from .concepts import approximation_maps
+from .context import ApproximationSpace, FormalContext, _names, definable_attributes, derive_extent
 from .errors import ConceptLimitError, ParseError, RoughConceptsError, UndefinedMeasureError
 from .formats import (
     FORMATS,
@@ -26,7 +26,7 @@ from .formats import (
     render_context,
 )
 from .lattice import DEFAULT_MAX_CONCEPTS, ConceptLattice, enumerate_concepts
-from .report import build_report
+from .report import _kernels_data, _rough_classes_data, build_report
 from .rules import Implication, certain_rule, implication_holds, possible_rule, rough_measure
 
 EXIT_OK = 0
@@ -129,7 +129,7 @@ def _load_space(args: argparse.Namespace, doc: ContextDocument) -> Approximation
     if args.partition:
         return parse_partition(Path(args.partition).read_bytes(), ctx.objects)
     if args.partition_by:
-        names = [name.strip() for name in args.partition_by.split(",") if name.strip()]
+        names = _attr_list(args.partition_by)
         return ApproximationSpace.from_attribute_classes(ctx, ctx.attribute_set(*names))
     return doc.partition
 
@@ -152,8 +152,8 @@ def _format_lattice(lat: ConceptLattice) -> str:
     ctx = lat.context
     lines = [f"concepts {len(lat)}"]
     for concept in lat.concepts:
-        extent = ",".join(ctx.object_names(concept.extent))
-        intent = ",".join(ctx.attribute_names(concept.intent))
+        extent = ",".join(_names(ctx.objects, concept.extent))
+        intent = ",".join(_names(ctx.attributes, concept.intent))
         lines.append(f"{concept.index} extent={{{extent}}} intent={{{intent}}}")
     lines.append(f"covers {len(lat.covers)}")
     for low, high in lat.covers:
@@ -183,7 +183,7 @@ def _dispatch(args: argparse.Namespace) -> str:
 
     if command == "definable":
         space = _require_space(args, doc)
-        return ",".join(ctx.attribute_names(definable_attributes(space, ctx)))
+        return ",".join(_names(ctx.attributes, definable_attributes(space, ctx)))
 
     if command == "extent":
         attrs = ctx.attribute_set(*_attr_list(args.attrs))
@@ -196,20 +196,16 @@ def _dispatch(args: argparse.Namespace) -> str:
                 result = compute(space, ctx, attrs)
             else:
                 result = extent_lower(space, ctx, attrs)
-        return ",".join(ctx.object_names(result))
+        return ",".join(_names(ctx.objects, result))
 
     if command == "assignments":
         space = _require_space(args, doc)
         maps = approximation_maps(space, ctx, args.max_concepts)
-        possibility, necessity = indiscernibility_kernels(maps)
         return json.dumps(
             {
                 "to_upper": list(maps.to_upper),
                 "to_lower": list(maps.to_lower),
-                "kernels": {
-                    "possibility": [list(fiber) for fiber in possibility],
-                    "necessity": [list(fiber) for fiber in necessity],
-                },
+                "kernels": _kernels_data(maps),
             },
             indent=2,
         )
@@ -217,17 +213,7 @@ def _dispatch(args: argparse.Namespace) -> str:
     if command == "rough-classes":
         space = _require_space(args, doc)
         maps = approximation_maps(space, ctx, args.max_concepts)
-        return json.dumps(
-            [
-                {
-                    "members": list(cls.members),
-                    "upper": cls.upper_image.index,
-                    "lower": cls.lower_image.index,
-                }
-                for cls in rough_concept_classes(maps)
-            ],
-            indent=2,
-        )
+        return json.dumps(_rough_classes_data(maps), indent=2)
 
     if command == "rules":
         implication = Implication.of(ctx, _attr_list(args.premise), _attr_list(args.conclusion))
@@ -263,6 +249,8 @@ def run_cli(argv: list[str]) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
+        if args.max_concepts < 0:
+            parser.error(f"argument --max-concepts: must not be negative, got {args.max_concepts}")
     except UsageError as exc:
         print(f"error: usage: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -14,22 +14,10 @@ combined row pattern is not realized, so it is a property of the
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Literal
 
-from .approx import lower_context, upper_context
-from .context import ApproximationSpace, FormalContext, derive_extent, require_same_universe
-from .lattice import (
-    DEFAULT_MAX_CONCEPTS,
-    ConceptLattice,
-    FormalConcept,
-    concept_leq,
-    enumerate_concepts,
-    lattice_join,
-    lattice_meet,
-)
-
-OrderMode = Literal["upper", "lower", "rough"]
-_MODES = ("upper", "lower", "rough")
+from .approx import _MODES, OrderMode, lower_context, upper_context
+from .context import ApproximationSpace, FormalContext, _bits, _mask, require_same_universe
+from .lattice import DEFAULT_MAX_CONCEPTS, ConceptLattice, FormalConcept, enumerate_concepts
 
 
 @dataclass(frozen=True)
@@ -44,6 +32,7 @@ class RoughConceptClass:
     lower_image: FormalConcept
 
 
+@dataclass(frozen=True, eq=False)
 class ConceptApproximationMaps:
     """The three lattices plus both assignment maps between them.
 
@@ -52,37 +41,16 @@ class ConceptApproximationMaps:
     ``i``.  Built once by :func:`approximation_maps`; immutable after.
     """
 
-    def __init__(
-        self,
-        space: ApproximationSpace,
-        base: ConceptLattice,
-        upper: ConceptLattice,
-        lower: ConceptLattice,
-        to_upper: tuple[int, ...],
-        to_lower: tuple[int, ...],
-    ):
-        self.space = space
-        self.base = base
-        self.upper = upper
-        self.lower = lower
-        self.to_upper = tuple(to_upper)
-        self.to_lower = tuple(to_lower)
+    space: ApproximationSpace
+    base: ConceptLattice
+    upper: ConceptLattice
+    lower: ConceptLattice
+    to_upper: tuple[int, ...]
+    to_lower: tuple[int, ...]
 
     @property
     def context(self) -> FormalContext:
         return self.base.context
-
-
-def _image_index(target: ConceptLattice, concept: FormalConcept) -> int:
-    # Intent-first: derive the intent through the approximation context,
-    # then close.  The derived extent is closed there by construction.
-    extent = derive_extent(target.context, concept.intent)
-    try:
-        return target.concept_with_extent(extent).index
-    except KeyError:  # pragma: no cover - would indicate an enumeration bug
-        raise RuntimeError(
-            "derived extent missing from the target lattice; enumeration is inconsistent"
-        ) from None
 
 
 def approximation_maps(
@@ -95,8 +63,11 @@ def approximation_maps(
     base = enumerate_concepts(ctx, max_concepts)
     upper = enumerate_concepts(upper_context(space, ctx), max_concepts)
     lower = enumerate_concepts(lower_context(space, ctx), max_concepts)
-    to_upper = tuple(_image_index(upper, concept) for concept in base)
-    to_lower = tuple(_image_index(lower, concept) for concept in base)
+    # Intent-first: the extent of a base intent in the approximation
+    # context is closed there by construction.
+    intents = [_mask(concept.intent) for concept in base]
+    to_upper = tuple(upper._by_extent[upper.context._extent(i)].index for i in intents)
+    to_lower = tuple(lower._by_extent[lower.context._extent(i)].index for i in intents)
     return ConceptApproximationMaps(space, base, upper, lower, to_upper, to_lower)
 
 
@@ -122,10 +93,19 @@ def lower_join(maps: ConceptApproximationMaps, concept: FormalConcept) -> Formal
     The unit inclusion ``c <= lower_join(upper image of c)`` holds for
     every base concept; the converse direction of the would-be
     adjunction depends on the partition (see the module docstring).
+
+    The closed subsets of the extent U are the unions of object
+    closures g'' inside U, so the join is the base closure of
+    the union of {g'' : g in U, g'' ⊆ U}.
     """
-    maps.upper.require_member(concept)
-    below = [c for c in maps.base if c.extent <= concept.extent]
-    return lattice_join(maps.base, below)
+    upper = _mask(maps.upper.require_member(concept).extent)
+    ctx = maps.base.context
+    union = 0
+    for g in _bits(upper):
+        closure = ctx._extent(ctx._row_masks[g])
+        if not closure & ~upper:
+            union |= closure
+    return maps.base._by_extent[ctx._extent(ctx._intent(union))]
 
 
 def upper_meet(maps: ConceptApproximationMaps, concept: FormalConcept) -> FormalConcept:
@@ -133,10 +113,13 @@ def upper_meet(maps: ConceptApproximationMaps, concept: FormalConcept) -> Formal
 
     Left adjoint to the lower assignment: ``upper_meet(d) <= c`` iff
     ``d <= lower image of c``, for every context and partition.
+
+    The meet of the closed supersets of the extent D is the base concept
+    whose extent is the base closure D''.
     """
-    maps.lower.require_member(concept)
-    above = [c for c in maps.base if c.extent >= concept.extent]
-    return lattice_meet(maps.base, above)
+    lower = _mask(maps.lower.require_member(concept).extent)
+    ctx = maps.base.context
+    return maps.base._by_extent[ctx._extent(ctx._intent(lower))]
 
 
 def concept_order(
@@ -148,17 +131,13 @@ def concept_order(
     """Preorder base concepts through their images (upper, lower, or both)."""
     if mode not in _MODES:
         raise ValueError(f"unknown order mode {mode!r}")
-    maps.base.require_member(first)
-    maps.base.require_member(second)
+    i = maps.base.require_member(first).index
+    j = maps.base.require_member(second).index
     ok = True
     if mode in ("upper", "rough"):
-        ok = concept_leq(
-            concept_upper_approx(maps, first), concept_upper_approx(maps, second)
-        )
+        ok = maps.upper[maps.to_upper[i]].extent <= maps.upper[maps.to_upper[j]].extent
     if ok and mode in ("lower", "rough"):
-        ok = concept_leq(
-            concept_lower_approx(maps, first), concept_lower_approx(maps, second)
-        )
+        ok = maps.lower[maps.to_lower[i]].extent <= maps.lower[maps.to_lower[j]].extent
     return ok
 
 

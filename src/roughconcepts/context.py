@@ -1,9 +1,11 @@
 """Formal contexts, approximation spaces, and set-level primitives.
 
 Objects and attributes are addressed by their position in the input
-order, which fixes index assignment for everything downstream.  Every
-set accepted or returned here is a ``frozenset`` of such indices; the
-container types offer helpers to translate between names and indices.
+order, which fixes index assignment for everything downstream.  Public
+functions take and return ``frozenset``s of such indices and check them
+once, on entry.  Inside the package a set is an int bitmask (bit ``i``
+for index ``i``); this module alone builds the row, column and block
+masks and the mask operations extent, intent, upper and lower.
 """
 
 from __future__ import annotations
@@ -22,6 +24,25 @@ from .errors import (
 
 ObjectSet = frozenset[int]
 AttributeSet = frozenset[int]
+
+
+def _mask(indices: Iterable[int]) -> int:
+    out = 0
+    for i in indices:
+        out |= 1 << i
+    return out
+
+
+def _bits(mask: int) -> Iterator[int]:
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
+def _names(names: tuple[str, ...], indices: Iterable[int]) -> tuple[str, ...]:
+    """Names of checked indices, in input order."""
+    return tuple(names[i] for i in sorted(indices))
 
 
 def _unique_names(names: Iterable[str], kind: str) -> tuple[str, ...]:
@@ -44,8 +65,30 @@ def _checked_indices(values: Iterable[int], size: int, kind: str) -> frozenset[i
     return out
 
 
+class _ObjectIndex:
+    """Name and index helpers for a class with an ``objects`` name tuple."""
+
+    objects: tuple[str, ...]
+
+    @cached_property
+    def _object_index(self) -> dict[str, int]:
+        return {name: i for i, name in enumerate(self.objects)}
+
+    def object_index(self, name: str) -> int:
+        try:
+            return self._object_index[name]
+        except KeyError:
+            raise UnknownNameError(f"unknown object {name!r}") from None
+
+    def object_set(self, *names: str) -> ObjectSet:
+        return frozenset(self.object_index(name) for name in names)
+
+    def check_object_set(self, objects: Iterable[int]) -> ObjectSet:
+        return _checked_indices(objects, len(self.objects), "object")
+
+
 @dataclass(frozen=True)
-class FormalContext:
+class FormalContext(_ObjectIndex):
     """A binary incidence table between named objects and attributes.
 
     ``rows[g]`` holds the attribute indices object ``g`` has; the column
@@ -128,18 +171,8 @@ class FormalContext:
     # -- name/index helpers --------------------------------------------------
 
     @cached_property
-    def _object_index(self) -> dict[str, int]:
-        return {name: i for i, name in enumerate(self.objects)}
-
-    @cached_property
     def _attribute_index(self) -> dict[str, int]:
         return {name: i for i, name in enumerate(self.attributes)}
-
-    def object_index(self, name: str) -> int:
-        try:
-            return self._object_index[name]
-        except KeyError:
-            raise UnknownNameError(f"unknown object {name!r}") from None
 
     def attribute_index(self, name: str) -> int:
         try:
@@ -147,21 +180,16 @@ class FormalContext:
         except KeyError:
             raise UnknownNameError(f"unknown attribute {name!r}") from None
 
-    def object_set(self, *names: str) -> ObjectSet:
-        return frozenset(self.object_index(name) for name in names)
-
     def attribute_set(self, *names: str) -> AttributeSet:
         return frozenset(self.attribute_index(name) for name in names)
 
     def object_names(self, objects: Iterable[int]) -> tuple[str, ...]:
         """Names of the given object indices, in input order."""
-        members = self.check_object_set(objects)
-        return tuple(self.objects[g] for g in sorted(members))
+        return _names(self.objects, self.check_object_set(objects))
 
     def attribute_names(self, attributes: Iterable[int]) -> tuple[str, ...]:
         """Names of the given attribute indices, in input order."""
-        members = self.check_attribute_set(attributes)
-        return tuple(self.attributes[m] for m in sorted(members))
+        return _names(self.attributes, self.check_attribute_set(attributes))
 
     # -- incidence views -------------------------------------------------------
 
@@ -173,6 +201,30 @@ class FormalContext:
             for m in row:
                 cols[m].add(g)
         return tuple(frozenset(c) for c in cols)
+
+    @cached_property
+    def _row_masks(self) -> tuple[int, ...]:
+        return tuple(_mask(row) for row in self.rows)
+
+    @cached_property
+    def _col_masks(self) -> tuple[int, ...]:
+        return tuple(_mask(column) for column in self.columns)
+
+    def _extent(self, attributes: int) -> int:
+        """Mask of the objects having every attribute in the mask."""
+        out = (1 << len(self.objects)) - 1
+        columns = self._col_masks
+        for m in _bits(attributes):
+            out &= columns[m]
+        return out
+
+    def _intent(self, objects: int) -> int:
+        """Mask of the attributes shared by every object in the mask."""
+        out = (1 << len(self.attributes)) - 1
+        rows = self._row_masks
+        for g in _bits(objects):
+            out &= rows[g]
+        return out
 
     def has(self, g: int, m: int) -> bool:
         """Whether object ``g`` has attribute ``m`` (by index)."""
@@ -192,15 +244,12 @@ class FormalContext:
             for m in sorted(row):
                 yield g, m
 
-    def check_object_set(self, objects: Iterable[int]) -> ObjectSet:
-        return _checked_indices(objects, len(self.objects), "object")
-
     def check_attribute_set(self, attributes: Iterable[int]) -> AttributeSet:
         return _checked_indices(attributes, len(self.attributes), "attribute")
 
 
 @dataclass(frozen=True)
-class ApproximationSpace:
+class ApproximationSpace(_ObjectIndex):
     """A partition of the object universe into indiscernibility blocks.
 
     Two objects are indiscernible exactly when they share a block, which
@@ -281,19 +330,6 @@ class ApproximationSpace:
                 out[g] = b
         return tuple(out)
 
-    @cached_property
-    def _object_index(self) -> dict[str, int]:
-        return {name: i for i, name in enumerate(self.objects)}
-
-    def object_index(self, name: str) -> int:
-        try:
-            return self._object_index[name]
-        except KeyError:
-            raise UnknownNameError(f"unknown object {name!r}") from None
-
-    def object_set(self, *names: str) -> ObjectSet:
-        return frozenset(self.object_index(name) for name in names)
-
     def block_index_of(self, g: int) -> int:
         if not 0 <= g < len(self.objects):
             raise InvalidSetError(f"object index {g!r} out of range")
@@ -303,8 +339,34 @@ class ApproximationSpace:
         """The indiscernibility block containing object ``g``."""
         return self.blocks[self.block_index_of(g)]
 
-    def check_object_set(self, objects: Iterable[int]) -> ObjectSet:
-        return _checked_indices(objects, len(self.objects), "object")
+    @cached_property
+    def _block_masks(self) -> tuple[int, ...]:
+        return tuple(_mask(block) for block in self.blocks)
+
+    def _upper(self, objects: int) -> int:
+        """Union of the blocks meeting the object mask."""
+        out = 0
+        for block in self._block_masks:
+            if block & objects:
+                out |= block
+        return out
+
+    def _lower(self, objects: int) -> int:
+        """Union of the blocks inside the object mask."""
+        out = 0
+        for block in self._block_masks:
+            if not block & ~objects:
+                out |= block
+        return out
+
+    def _blocks_meeting(self, objects: int) -> ObjectSet:
+        """Frozenset union of the blocks meeting the mask (the mask's own set if definable)."""
+        out: set[int] = set()
+        while objects:
+            b = self._block_index[(objects & -objects).bit_length() - 1]
+            out |= self.blocks[b]
+            objects &= ~self._block_masks[b]
+        return frozenset(out)
 
 
 def require_same_universe(space: ApproximationSpace, ctx: FormalContext) -> None:
@@ -343,12 +405,8 @@ def derive_extent(ctx: FormalContext, attributes: Iterable[int]) -> ObjectSet:
 
 def upper_approx_set(space: ApproximationSpace, objects: Iterable[int]) -> ObjectSet:
     """Union of all blocks meeting the set: its least definable superset."""
-    members = space.check_object_set(objects)
-    hit = {space.block_index_of(g) for g in members}
-    out: set[int] = set()
-    for b in hit:
-        out |= space.blocks[b]
-    return frozenset(out)
+    hit = {space._block_index[g] for g in space.check_object_set(objects)}
+    return frozenset().union(*[space.blocks[b] for b in hit])
 
 
 def lower_approx_set(space: ApproximationSpace, objects: Iterable[int]) -> ObjectSet:
@@ -363,13 +421,13 @@ def lower_approx_set(space: ApproximationSpace, objects: Iterable[int]) -> Objec
 
 def is_definable_set(space: ApproximationSpace, objects: Iterable[int]) -> bool:
     """Whether the set is exactly a union of indiscernibility blocks."""
-    members = space.check_object_set(objects)
-    return upper_approx_set(space, members) == members
+    members = _mask(space.check_object_set(objects))
+    return space._upper(members) == members
 
 
 def definable_attributes(space: ApproximationSpace, ctx: FormalContext) -> AttributeSet:
     """Attributes whose extent is definable; all of them iff the context is definable."""
     require_same_universe(space, ctx)
     return frozenset(
-        m for m, column in enumerate(ctx.columns) if is_definable_set(space, column)
+        m for m, column in enumerate(ctx._col_masks) if space._upper(column) == column
     )

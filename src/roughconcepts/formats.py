@@ -14,12 +14,7 @@ import json
 from dataclasses import dataclass
 from typing import Iterable
 
-from .context import (
-    ApproximationSpace,
-    FormalContext,
-    derive_extent,
-    derive_intent,
-)
+from .context import ApproximationSpace, FormalContext, _names
 from .errors import ParseError, RoughConceptsError
 from .lattice import ConceptLattice
 
@@ -246,6 +241,8 @@ def _parse_json(text: str) -> tuple[FormalContext, ApproximationSpace | None]:
         data = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError(f"invalid JSON: {exc.msg}", line=exc.lineno, column=exc.colno) from None
+    except RecursionError:
+        raise ParseError("invalid JSON: nested too deeply") from None
     if not isinstance(data, dict):
         raise ParseError("top level must be a JSON object")
     unknown = set(data) - {"objects", "attributes", "incidence", "partition"}
@@ -286,17 +283,22 @@ def _parse_json(text: str) -> tuple[FormalContext, ApproximationSpace | None]:
     return context, partition
 
 
-def _render_json(doc: ContextDocument) -> str:
-    ctx = doc.context
-    payload: dict = {
+def _context_data(ctx: FormalContext) -> dict:
+    return {
         "objects": list(ctx.objects),
         "attributes": list(ctx.attributes),
         "incidence": [[ctx.objects[g], ctx.attributes[m]] for g, m in ctx.pairs()],
     }
+
+
+def _blocks_data(space: ApproximationSpace) -> list[list[str]]:
+    return [list(_names(space.objects, block)) for block in space.blocks]
+
+
+def _render_json(doc: ContextDocument) -> str:
+    payload = _context_data(doc.context)
     if doc.partition is not None:
-        payload["partition"] = [
-            [ctx.objects[g] for g in sorted(block)] for block in doc.partition.blocks
-        ]
+        payload["partition"] = _blocks_data(doc.partition)
     return json.dumps(payload, indent=2) + "\n"
 
 
@@ -378,18 +380,17 @@ def export_dot(lattice: ConceptLattice, labeling: str = "full") -> str:
     labels: dict[int, str] = {}
     if labeling == "full":
         for concept in lattice.concepts:
-            intent = _dot_escape(", ".join(ctx.attribute_names(concept.intent)))
-            extent = _dot_escape(", ".join(ctx.object_names(concept.extent)))
+            intent = _dot_escape(", ".join(_names(ctx.attributes, concept.intent)))
+            extent = _dot_escape(", ".join(_names(ctx.objects, concept.extent)))
             labels[concept.index] = f"{{{intent}}}\\n{{{extent}}}"
     else:
         attr_home: dict[int, list[int]] = {}
-        for m in range(len(ctx.attributes)):
-            home = lattice.concept_with_extent(derive_extent(ctx, frozenset({m})))
+        for m, column in enumerate(ctx._col_masks):
+            home = lattice._by_extent[column]
             attr_home.setdefault(home.index, []).append(m)
         object_home: dict[int, list[int]] = {}
-        for g in range(len(ctx.objects)):
-            extent = derive_extent(ctx, derive_intent(ctx, frozenset({g})))
-            home = lattice.concept_with_extent(extent)
+        for g, row in enumerate(ctx._row_masks):
+            home = lattice._by_extent[ctx._extent(row)]
             object_home.setdefault(home.index, []).append(g)
         for concept in lattice.concepts:
             attrs = _dot_escape(

@@ -5,8 +5,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Iterator
 
-from .context import AttributeSet, FormalContext, ObjectSet, derive_extent, derive_intent
-from .errors import ConceptLimitError, LatticeMismatchError
+from .context import AttributeSet, FormalContext, ObjectSet, _bits, _mask
+from .errors import ConceptLimitError, InvalidSetError, LatticeMismatchError
 
 DEFAULT_MAX_CONCEPTS = 100_000
 
@@ -40,7 +40,7 @@ class ConceptLattice:
         self.context = context
         self.concepts: tuple[FormalConcept, ...] = tuple(concepts)
         self.covers: tuple[tuple[int, int], ...] = tuple(covers)
-        self._by_extent = {c.extent: c for c in self.concepts}
+        self._by_extent = {_mask(c.extent): c for c in self.concepts}
         for concept in self.concepts:
             object.__setattr__(concept, "lattice", self)
 
@@ -63,7 +63,11 @@ class ConceptLattice:
 
     def concept_with_extent(self, extent: Iterable[int]) -> FormalConcept:
         """The unique concept with this extent; KeyError if the set is not closed."""
-        return self._by_extent[frozenset(extent)]
+        try:
+            mask = _mask(self.context.check_object_set(extent))
+        except InvalidSetError:
+            raise KeyError(extent) from None
+        return self._by_extent[mask]
 
     def require_member(self, concept: FormalConcept) -> FormalConcept:
         """The lattice's own instance of ``concept``.
@@ -74,20 +78,6 @@ class ConceptLattice:
         if 0 <= concept.index < len(self.concepts) and self.concepts[concept.index] == concept:
             return self.concepts[concept.index]
         raise LatticeMismatchError("concept does not belong to this lattice")
-
-
-def _mask(indices: Iterable[int]) -> int:
-    out = 0
-    for i in indices:
-        out |= 1 << i
-    return out
-
-
-def _bits(mask: int) -> Iterator[int]:
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
 
 
 def _next_closed(attrs: int, width: int, close: Callable[[int], int]) -> int | None:
@@ -112,27 +102,10 @@ def enumerate_concepts(
     every concept appears exactly once without keeping a seen-set.  Work
     happens on integer bitmasks; the public concepts carry frozensets.
     """
-    n_objects = len(ctx.objects)
     n_attributes = len(ctx.attributes)
-    row_mask = [_mask(row) for row in ctx.rows]
-    col_mask = [_mask(col) for col in ctx.columns]
-    all_objects = (1 << n_objects) - 1
-    all_attributes = (1 << n_attributes) - 1
-
-    def extent_of(attrs: int) -> int:
-        out = all_objects
-        for m in _bits(attrs):
-            out &= col_mask[m]
-        return out
-
-    def intent_of(objs: int) -> int:
-        out = all_attributes
-        for g in _bits(objs):
-            out &= row_mask[g]
-        return out
 
     def close(attrs: int) -> int:
-        return intent_of(extent_of(attrs))
+        return ctx._intent(ctx._extent(attrs))
 
     intents: list[int] = []
     current: int | None = close(0)
@@ -144,13 +117,14 @@ def enumerate_concepts(
             )
         current = _next_closed(current, n_attributes, close)
 
-    raw = [(extent_of(intent), intent) for intent in intents]
-    raw.sort(key=lambda pair: (-pair[0].bit_count(), tuple(_bits(pair[0]))))
+    # Each extent's members are listed once: the sort key and the frozenset share them.
+    raw = [(tuple(_bits(e)), e, i) for e, i in zip(map(ctx._extent, intents), intents)]
+    raw.sort(key=lambda t: (-len(t[0]), t[0]))
     concepts = [
-        FormalConcept(frozenset(_bits(e)), frozenset(_bits(i)), index)
-        for index, (e, i) in enumerate(raw)
+        FormalConcept(frozenset(members), frozenset(_bits(i)), index)
+        for index, (members, _, i) in enumerate(raw)
     ]
-    covers = _covering_pairs([e for e, _ in raw])
+    covers = _covering_pairs([e for _, e, _ in raw])
     return ConceptLattice(ctx, concepts, covers)
 
 
@@ -191,24 +165,13 @@ def concept_leq(first: FormalConcept, second: FormalConcept) -> bool:
     return first.extent <= second.extent
 
 
-def _lookup(lat: ConceptLattice, extent: ObjectSet) -> FormalConcept:
-    try:
-        return lat.concept_with_extent(extent)
-    except KeyError:  # pragma: no cover - would indicate an enumeration bug
-        raise RuntimeError(
-            f"no concept with extent {sorted(extent)}; lattice enumeration is inconsistent"
-        ) from None
-
-
 def lattice_meet(lat: ConceptLattice, concepts: Iterable[FormalConcept]) -> FormalConcept:
     """Greatest lower bound; the empty collection meets to the top."""
     items = [lat.require_member(c) for c in concepts]
     if not items:
         return lat.top
-    shared = frozenset.intersection(*(c.extent for c in items))
-    intent = derive_intent(lat.context, shared)
-    extent = derive_extent(lat.context, intent)
-    return _lookup(lat, extent)
+    # Extents are closed under intersection.
+    return lat._by_extent[_mask(frozenset.intersection(*(c.extent for c in items)))]
 
 
 def lattice_join(lat: ConceptLattice, concepts: Iterable[FormalConcept]) -> FormalConcept:
@@ -217,5 +180,4 @@ def lattice_join(lat: ConceptLattice, concepts: Iterable[FormalConcept]) -> Form
     if not items:
         return lat.bottom
     shared = frozenset.intersection(*(c.intent for c in items))
-    extent = derive_extent(lat.context, shared)
-    return _lookup(lat, extent)
+    return lat._by_extent[lat.context._extent(_mask(shared))]

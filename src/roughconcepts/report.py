@@ -10,18 +10,11 @@ from .concepts import (
     indiscernibility_kernels,
     rough_concept_classes,
 )
-from .context import ApproximationSpace, FormalContext, definable_attributes
+from .context import ApproximationSpace, FormalContext, _names, definable_attributes
 from .errors import UndefinedMeasureError
+from .formats import _blocks_data, _context_data
 from .lattice import DEFAULT_MAX_CONCEPTS, ConceptLattice
 from .rules import Implication, certain_rule, implication_holds, possible_rule, rough_measure
-
-
-def _context_dict(ctx: FormalContext) -> dict:
-    return {
-        "objects": list(ctx.objects),
-        "attributes": list(ctx.attributes),
-        "incidence": [[ctx.objects[g], ctx.attributes[m]] for g, m in ctx.pairs()],
-    }
 
 
 def _lattice_dict(lat: ConceptLattice) -> dict:
@@ -30,8 +23,8 @@ def _lattice_dict(lat: ConceptLattice) -> dict:
         "concepts": [
             {
                 "index": concept.index,
-                "extent": list(ctx.object_names(concept.extent)),
-                "intent": list(ctx.attribute_names(concept.intent)),
+                "extent": list(_names(ctx.objects, concept.extent)),
+                "intent": list(_names(ctx.attributes, concept.intent)),
             }
             for concept in lat.concepts
         ],
@@ -52,13 +45,28 @@ def _rule_dict(
     except UndefinedMeasureError:
         measure_dict = None
     return {
-        "premise": list(ctx.attribute_names(implication.premise)),
-        "conclusion": list(ctx.attribute_names(implication.conclusion)),
+        "premise": list(_names(ctx.attributes, implication.premise)),
+        "conclusion": list(_names(ctx.attributes, implication.conclusion)),
         "holds": implication_holds(ctx, implication),
         "certain": certain_rule(space, ctx, implication),
         "possible": possible_rule(space, ctx, implication),
         "measure": measure_dict,
     }
+
+
+def _kernels_data(maps: ConceptApproximationMaps) -> dict:
+    possibility, necessity = indiscernibility_kernels(maps)
+    return {
+        "possibility": [list(fiber) for fiber in possibility],
+        "necessity": [list(fiber) for fiber in necessity],
+    }
+
+
+def _rough_classes_data(maps: ConceptApproximationMaps) -> list[dict]:
+    return [
+        {"members": list(c.members), "upper": c.upper_image.index, "lower": c.lower_image.index}
+        for c in rough_concept_classes(maps)
+    ]
 
 
 def build_report(
@@ -74,16 +82,13 @@ def build_report(
     every index elsewhere in the report resolves into those listings.
     """
     maps: ConceptApproximationMaps = approximation_maps(space, ctx, max_concepts)
-    possibility, necessity = indiscernibility_kernels(maps)
     return {
-        "context": _context_dict(ctx),
-        "space": {
-            "blocks": [[ctx.objects[g] for g in sorted(block)] for block in space.blocks]
-        },
-        "definable_attributes": list(ctx.attribute_names(definable_attributes(space, ctx))),
+        "context": _context_data(ctx),
+        "space": {"blocks": _blocks_data(space)},
+        "definable_attributes": list(_names(ctx.attributes, definable_attributes(space, ctx))),
         "approximations": {
-            "upper": _context_dict(maps.upper.context),
-            "lower": _context_dict(maps.lower.context),
+            "upper": _context_data(maps.upper.context),
+            "lower": _context_data(maps.lower.context),
         },
         "lattices": {
             "base": _lattice_dict(maps.base),
@@ -91,17 +96,7 @@ def build_report(
             "lower": _lattice_dict(maps.lower),
         },
         "maps": {"to_upper": list(maps.to_upper), "to_lower": list(maps.to_lower)},
-        "kernels": {
-            "possibility": [list(fiber) for fiber in possibility],
-            "necessity": [list(fiber) for fiber in necessity],
-        },
-        "rough_classes": [
-            {
-                "members": list(cls.members),
-                "upper": cls.upper_image.index,
-                "lower": cls.lower_image.index,
-            }
-            for cls in rough_concept_classes(maps)
-        ],
+        "kernels": _kernels_data(maps),
+        "rough_classes": _rough_classes_data(maps),
         "rules": [_rule_dict(space, ctx, implication) for implication in rules],
     }

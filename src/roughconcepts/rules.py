@@ -6,7 +6,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .approx import lower_context, upper_context
+from .approx import _extent_mask
 from .context import ApproximationSpace, AttributeSet, FormalContext, derive_extent
 from .errors import UndefinedMeasureError
 
@@ -78,11 +78,13 @@ def certain_rule(
     space: ApproximationSpace, ctx: FormalContext, implication: Implication
 ) -> bool:
     """Whether the implication holds in the lower approximation context."""
-    return implication_holds(lower_context(space, ctx), implication)
+    premise = _extent_mask(space, ctx, implication.premise, space._lower)
+    return not premise & ~_extent_mask(space, ctx, implication.conclusion, space._lower)
 
 
 def possible_rule(
     space: ApproximationSpace, ctx: FormalContext, implication: Implication
 ) -> bool:
     """Whether the implication holds in the upper approximation context."""
-    return implication_holds(upper_context(space, ctx), implication)
+    premise = _extent_mask(space, ctx, implication.premise, space._upper)
+    return not premise & ~_extent_mask(space, ctx, implication.conclusion, space._upper)

@@ -25,8 +25,7 @@ from roughconcepts import (
     upper_context,
 )
 
-from conftest import aset, oset, random_space
-from test_context import spaced_contexts
+from conftest import aset, oset, random_space, spaced_contexts
 
 
 # ── approximation contexts ─────────────────────────────────────────────

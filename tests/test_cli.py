@@ -170,6 +170,24 @@ def test_resource_cap(capsys):
     assert code == 4 and out == "" and err.startswith("error: resource:")
 
 
+def test_max_concepts_must_not_be_negative(capsys):
+    code, out, err = run(capsys, "lattice", *CONTEXT, "--max-concepts", "-1")
+    assert (code, out) == (1, "")
+    assert err.startswith("error: usage:") and err.count("\n") == 1
+    code, out, err = run(capsys, "lattice", *CONTEXT, "--max-concepts", "0")
+    assert code == 4 and out == "" and err.startswith("error: resource:")
+    code, out, _ = run(capsys, "lattice", *CONTEXT, "--max-concepts", "19")
+    assert code == 0 and out.startswith("concepts 19\n")
+
+
+def test_deeply_nested_json_is_parse_error(capsys, tmp_path):
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 200_000 + "]" * 200_000)
+    code, out, err = run(capsys, "lattice", "--context", str(deep))
+    assert (code, out) == (2, "")
+    assert err.startswith("error: parse:") and err.count("\n") == 1
+
+
 def test_partition_file_error_is_parse_error(capsys, tmp_path):
     part = tmp_path / "bad_partition.txt"
     part.write_text("Le, Br\n")

@@ -22,37 +22,10 @@ from roughconcepts import (
     upper_approx_set,
 )
 
-from conftest import aset, oset, random_context, random_space
+from conftest import aset, contexts, oset, random_context, random_space, spaced_contexts
 
 
 # ── strategies ──────────────────────────────────────────────────────
-
-
-@st.composite
-def contexts(draw, max_objects=6, max_attributes=6):
-    n_g = draw(st.integers(0, max_objects))
-    n_m = draw(st.integers(0, max_attributes))
-    rows = tuple(
-        draw(st.frozensets(st.integers(0, n_m - 1))) if n_m else frozenset()
-        for _ in range(n_g)
-    )
-    return FormalContext(
-        tuple(f"g{i}" for i in range(n_g)),
-        tuple(f"m{j}" for j in range(n_m)),
-        rows,
-    )
-
-
-@st.composite
-def spaced_contexts(draw, max_objects=6, max_attributes=6):
-    ctx = draw(contexts(max_objects, max_attributes))
-    n_g = len(ctx.objects)
-    labels = [draw(st.integers(0, max(n_g - 1, 0))) for _ in range(n_g)]
-    groups: dict[int, set[int]] = {}
-    for g, label in enumerate(labels):
-        groups.setdefault(label, set()).add(g)
-    space = ApproximationSpace(ctx.objects, tuple(frozenset(v) for v in groups.values()))
-    return ctx, space
 
 
 def object_subsets(ctx):
