@@ -17,6 +17,7 @@ from dataclasses import dataclass
 
 from .approx import _MODES, OrderMode, lower_context, upper_context
 from .context import ApproximationSpace, FormalContext, _bits, _mask, require_same_universe
+from .errors import ConceptLimitError
 from .lattice import DEFAULT_MAX_CONCEPTS, ConceptLattice, FormalConcept, enumerate_concepts
 
 
@@ -60,15 +61,22 @@ def approximation_maps(
 ) -> ConceptApproximationMaps:
     """Enumerate the base and both approximation lattices and map into them."""
     require_same_universe(space, ctx)
-    base = enumerate_concepts(ctx, max_concepts)
-    upper = enumerate_concepts(upper_context(space, ctx), max_concepts)
-    lower = enumerate_concepts(lower_context(space, ctx), max_concepts)
+    base = _enumerate("base", ctx, max_concepts)
+    upper = _enumerate("upper", upper_context(space, ctx), max_concepts)
+    lower = _enumerate("lower", lower_context(space, ctx), max_concepts)
     # Intent-first: the extent of a base intent in the approximation
     # context is closed there by construction.
-    intents = [_mask(concept.intent) for concept in base]
-    to_upper = tuple(upper._by_extent[upper.context._extent(i)].index for i in intents)
-    to_lower = tuple(lower._by_extent[lower.context._extent(i)].index for i in intents)
+    to_upper = tuple(upper._by_extent[upper.context._extent(i)].index for i in base._intents)
+    to_lower = tuple(lower._by_extent[lower.context._extent(i)].index for i in base._intents)
     return ConceptApproximationMaps(space, base, upper, lower, to_upper, to_lower)
+
+
+def _enumerate(name: str, ctx: FormalContext, max_concepts: int) -> ConceptLattice:
+    """:func:`enumerate_concepts`, naming the lattice in a :class:`ConceptLimitError`."""
+    try:
+        return enumerate_concepts(ctx, max_concepts)
+    except ConceptLimitError as exc:
+        raise ConceptLimitError(f"{name} lattice: {exc}") from None
 
 
 def concept_upper_approx(

@@ -171,7 +171,11 @@ def _render_cxt(ctx: FormalContext) -> str:
 
 
 def _parse_csv(text: str) -> FormalContext:
-    table = list(csv.reader(io.StringIO(text)))
+    reader = csv.reader(io.StringIO(text))
+    try:
+        table = list(reader)
+    except csv.Error as exc:
+        raise ParseError(f"invalid CSV: {exc}", line=reader.line_num) from None
     if not table or not table[0]:
         raise ParseError("missing header row", line=1)
     header = table[0]

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable, Iterable, Iterator
 
 from .context import AttributeSet, FormalContext, ObjectSet, _bits, _mask
@@ -22,27 +23,31 @@ class FormalConcept:
 
 
 class ConceptLattice:
-    """All concepts of a context, in canonical order, plus the Hasse covers.
+    """All concepts of a context, in canonical order, and their Hasse covers.
 
     Canonical order is descending extent size with ties broken by the
     sorted extent index tuple; the top concept is always first and the
     bottom always last.  ``covers`` lists (lower, upper) index pairs, the
-    transitive reduction of the extent-inclusion order.  Instances are
+    transitive reduction of the extent-inclusion order; it is computed on
+    its first read, since only the Hasse diagram needs it.  Instances are
     immutable once built; use :func:`enumerate_concepts` to build one.
     """
 
-    def __init__(
-        self,
-        context: FormalContext,
-        concepts: Iterable[FormalConcept],
-        covers: Iterable[tuple[int, int]],
-    ):
+    def __init__(self, context: FormalContext, closed: list[tuple[tuple[int, ...], int, int]]):
+        """``closed`` holds (extent members, extent mask, intent mask) in canonical order."""
         self.context = context
-        self.concepts: tuple[FormalConcept, ...] = tuple(concepts)
-        self.covers: tuple[tuple[int, int], ...] = tuple(covers)
-        self._by_extent = {_mask(c.extent): c for c in self.concepts}
-        for concept in self.concepts:
-            object.__setattr__(concept, "lattice", self)
+        self.concepts: tuple[FormalConcept, ...] = tuple(
+            FormalConcept(frozenset(members), frozenset(_bits(i)), index, self)
+            for index, (members, _, i) in enumerate(closed)
+        )
+        # Keyed by extent mask; the keys keep canonical order.
+        self._by_extent = dict(zip([e for _, e, _ in closed], self.concepts))
+        self._intents = tuple(i for _, _, i in closed)
+
+    @cached_property
+    def covers(self) -> tuple[tuple[int, int], ...]:
+        """The Hasse diagram as sorted (lower, upper) index pairs."""
+        return tuple(_covering_pairs(list(self._by_extent)))
 
     def __len__(self) -> int:
         return len(self.concepts)
@@ -120,12 +125,7 @@ def enumerate_concepts(
     # Each extent's members are listed once: the sort key and the frozenset share them.
     raw = [(tuple(_bits(e)), e, i) for e, i in zip(map(ctx._extent, intents), intents)]
     raw.sort(key=lambda t: (-len(t[0]), t[0]))
-    concepts = [
-        FormalConcept(frozenset(members), frozenset(_bits(i)), index)
-        for index, (members, _, i) in enumerate(raw)
-    ]
-    covers = _covering_pairs([e for _, e, _ in raw])
-    return ConceptLattice(ctx, concepts, covers)
+    return ConceptLattice(ctx, raw)
 
 
 def _covering_pairs(extents: list[int]) -> list[tuple[int, int]]:

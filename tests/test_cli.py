@@ -188,6 +188,26 @@ def test_deeply_nested_json_is_parse_error(capsys, tmp_path):
     assert err.startswith("error: parse:") and err.count("\n") == 1
 
 
+def test_resource_error_names_the_lattice(capsys, tmp_path):
+    # The base lattice has 4 concepts, the upper one 5 (see test_concepts).
+    ctx = tmp_path / "merge.csv"
+    ctx.write_text(",m0,m1,m2\ng0,X,,\ng1,,,X\ng2,,,X\ng3,X,,\n")
+    part = tmp_path / "merge_partition.txt"
+    part.write_text("g0\ng1, g3\ng2\n")
+    argv = ["assignments", "--context", str(ctx), "--partition", str(part), "--max-concepts", "4"]
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (4, "")
+    assert err.startswith("error: resource: upper lattice: ") and err.count("\n") == 1
+
+
+def test_oversized_csv_field_is_parse_error(capsys, tmp_path):
+    big = tmp_path / "big.csv"
+    big.write_text(",a\n" + "g" * 200_000 + ",X\n")
+    code, out, err = run(capsys, "lattice", "--context", str(big))
+    assert (code, out) == (2, "")
+    assert err.startswith("error: parse:") and err.count("\n") == 1
+
+
 def test_partition_file_error_is_parse_error(capsys, tmp_path):
     part = tmp_path / "bad_partition.txt"
     part.write_text("Le, Br\n")

@@ -8,6 +8,8 @@ import pytest
 
 from roughconcepts import (
     ApproximationSpace,
+    ConceptLimitError,
+    FormalContext,
     LatticeMismatchError,
     approximation_maps,
     concept_leq,
@@ -333,3 +335,16 @@ def test_upper_adjunction_can_fail_while_lower_holds():
         meet = upper_meet(maps, d)
         for c in maps.base:
             assert concept_leq(meet, c) == concept_leq(d, concept_lower_approx(maps, c))
+
+
+def test_concept_cap_names_the_lattice():
+    # Merging g1 with g3 realises the row {m0, m2}, so the upper lattice
+    # has 5 concepts against the base's 4.
+    rows = (frozenset({0}), frozenset({2}), frozenset({2}), frozenset({0}))
+    ctx = FormalContext(("g0", "g1", "g2", "g3"), ("m0", "m1", "m2"), rows)
+    space = ApproximationSpace(ctx.objects, (frozenset({0}), frozenset({1, 3}), frozenset({2})))
+    assert len(approximation_maps(space, ctx, max_concepts=5).base) == 4
+    with pytest.raises(ConceptLimitError, match="^upper lattice: more than 4 concepts"):
+        approximation_maps(space, ctx, max_concepts=4)
+    with pytest.raises(ConceptLimitError, match="^base lattice: "):
+        approximation_maps(space, ctx, max_concepts=3)

@@ -6,21 +6,30 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given
 
 from roughconcepts import (
     ConceptLimitError,
     FormalContext,
     LatticeMismatchError,
+    approximation_maps,
     concept_leq,
+    concept_lower_approx,
+    concept_order,
+    concept_upper_approx,
     covering_relation,
     derive_extent,
     derive_intent,
     enumerate_concepts,
+    indiscernibility_kernels,
     lattice_join,
     lattice_meet,
+    lower_join,
+    rough_concept_classes,
+    upper_meet,
 )
 
-from conftest import aset, oset, random_context
+from conftest import aset, contexts, oset, random_context
 
 
 def brute_force_concept_count(ctx: FormalContext) -> int:
@@ -207,3 +216,30 @@ def test_covers_match_brute_force(living):
         ctx = random_context(rng, 5, 5)
         lat = enumerate_concepts(ctx)
         assert set(covering_relation(lat)) == brute_force_covers(lat)
+
+
+@given(contexts())
+def test_covers_equal_extent_reduction(ctx):
+    lat = enumerate_concepts(ctx)
+    assert lat.covers == tuple(sorted(brute_force_covers(lat)))
+
+
+def test_covers_built_once_and_only_when_read(living, living_space):
+    maps = approximation_maps(living_space, living)
+    indiscernibility_kernels(maps)
+    rough_concept_classes(maps)
+    for c in maps.base:
+        up = concept_upper_approx(maps, c)
+        low = concept_lower_approx(maps, c)
+        lower_join(maps, up)
+        upper_meet(maps, low)
+        for mode in ("upper", "lower", "rough"):
+            concept_order(maps, c, maps.base.top, mode)
+        concept_leq(c, maps.base.top)
+        lattice_meet(maps.base, [c, maps.base.bottom])
+        lattice_join(maps.base, [c, maps.base.top])
+    lattices = (maps.base, maps.upper, maps.lower)
+    assert all("covers" not in vars(lat) for lat in lattices)
+    for lat in lattices:
+        covers = lat.covers
+        assert lat.covers is covers and vars(lat)["covers"] is covers
