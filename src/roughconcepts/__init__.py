@@ -4,148 +4,69 @@ The package computes formal concept lattices, approximates whole
 contexts and individual concepts relative to a partition of the objects
 into indiscernibility blocks, quotients by rough equality, and measures
 attribute implications exactly.
+
+Public names are imported from their submodule on first use (PEP 562),
+so ``import roughconcepts`` and a CLI command load only the modules
+they use.
 """
 
-from .approx import (
-    RoughFormalContext,
-    certainly_has,
-    context_order,
-    contexts_roughly_equal,
-    extent_lower,
-    extent_upper_free,
-    extent_upper_strict,
-    lower_context,
-    possibly_has,
-    rough_context,
-    upper_context,
-)
-from .concepts import (
-    ConceptApproximationMaps,
-    RoughConceptClass,
-    approximation_maps,
-    concept_lower_approx,
-    concept_order,
-    concept_upper_approx,
-    indiscernibility_kernels,
-    lower_join,
-    rough_concept_classes,
-    upper_meet,
-)
-from .context import (
-    ApproximationSpace,
-    AttributeSet,
-    FormalContext,
-    ObjectSet,
-    definable_attributes,
-    derive_extent,
-    derive_intent,
-    is_definable_set,
-    lower_approx_set,
-    upper_approx_set,
-)
-from .errors import (
-    ConceptLimitError,
-    DuplicateNameError,
-    InvalidSetError,
-    LatticeMismatchError,
-    ParseError,
-    PartitionError,
-    RoughConceptsError,
-    ShapeMismatchError,
-    UndefinedMeasureError,
-    UniverseMismatchError,
-    UnknownNameError,
-)
-from .formats import (
-    ContextDocument,
-    export_dot,
-    guess_format,
-    parse_context,
-    parse_partition,
-    render_context,
-)
-from .lattice import (
-    ConceptLattice,
-    FormalConcept,
-    concept_leq,
-    covering_relation,
-    enumerate_concepts,
-    lattice_join,
-    lattice_meet,
-)
-from .report import build_report
-from .rules import (
-    Implication,
-    RoughMeasure,
-    certain_rule,
-    implication_holds,
-    possible_rule,
-    rough_measure,
-)
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "ApproximationSpace",
-    "AttributeSet",
-    "ConceptApproximationMaps",
-    "ConceptLattice",
-    "ConceptLimitError",
-    "ContextDocument",
-    "DuplicateNameError",
-    "FormalConcept",
-    "FormalContext",
-    "Implication",
-    "InvalidSetError",
-    "LatticeMismatchError",
-    "ObjectSet",
-    "ParseError",
-    "PartitionError",
-    "RoughConceptClass",
-    "RoughConceptsError",
-    "RoughFormalContext",
-    "RoughMeasure",
-    "ShapeMismatchError",
-    "UndefinedMeasureError",
-    "UniverseMismatchError",
-    "UnknownNameError",
-    "approximation_maps",
-    "build_report",
-    "certain_rule",
-    "certainly_has",
-    "concept_leq",
-    "concept_lower_approx",
-    "concept_order",
-    "concept_upper_approx",
-    "context_order",
-    "contexts_roughly_equal",
-    "covering_relation",
-    "definable_attributes",
-    "derive_extent",
-    "derive_intent",
-    "enumerate_concepts",
-    "export_dot",
-    "extent_lower",
-    "extent_upper_free",
-    "extent_upper_strict",
-    "guess_format",
-    "implication_holds",
-    "indiscernibility_kernels",
-    "is_definable_set",
-    "lattice_join",
-    "lattice_meet",
-    "lower_approx_set",
-    "lower_context",
-    "lower_join",
-    "parse_context",
-    "parse_partition",
-    "possible_rule",
-    "possibly_has",
-    "render_context",
-    "rough_concept_classes",
-    "rough_context",
-    "rough_measure",
-    "upper_approx_set",
-    "upper_context",
-    "upper_meet",
-]
+# submodule -> the public names it defines
+_PUBLIC = {
+    "approx": """
+        RoughFormalContext certainly_has context_order contexts_roughly_equal
+        extent_lower extent_upper_free extent_upper_strict lower_context
+        possibly_has rough_context upper_context
+    """,
+    "concepts": """
+        ConceptApproximationMaps RoughConceptClass approximation_maps
+        concept_lower_approx concept_order concept_upper_approx
+        indiscernibility_kernels lower_join rough_concept_classes upper_meet
+    """,
+    "context": """
+        ApproximationSpace AttributeSet FormalContext ObjectSet
+        definable_attributes derive_extent derive_intent is_definable_set
+        lower_approx_set upper_approx_set
+    """,
+    "errors": """
+        ConceptLimitError DuplicateNameError InvalidSetError
+        LatticeMismatchError ParseError PartitionError RoughConceptsError
+        ShapeMismatchError UndefinedMeasureError UniverseMismatchError
+        UnknownNameError
+    """,
+    "formats": """
+        ContextDocument export_dot guess_format parse_context parse_partition
+        render_context
+    """,
+    "lattice": """
+        ConceptLattice FormalConcept concept_leq covering_relation
+        enumerate_concepts lattice_join lattice_meet
+    """,
+    "report": "build_report",
+    "rules": """
+        Implication RoughMeasure certain_rule implication_holds possible_rule
+        rough_measure
+    """,
+}
+_MODULE_OF = {name: module for module, names in _PUBLIC.items() for name in names.split()}
+
+__all__ = sorted(_MODULE_OF)
+
+
+def __getattr__(name: str):
+    if name in _PUBLIC:  # submodules resolve too, imported on first access
+        return importlib.import_module(f"{__name__}.{name}")
+    try:
+        module = _MODULE_OF[name]
+    except KeyError:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}") from None
+    value = getattr(importlib.import_module(f"{__name__}.{module}"), name)
+    globals()[name] = value  # later reads skip this function
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | set(__all__))

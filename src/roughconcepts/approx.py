@@ -7,9 +7,9 @@ definable contexts and bracket the original one.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable, Iterable, Literal
 
+from ._record import Record
 from .context import (
     ApproximationSpace,
     AttributeSet,
@@ -175,8 +175,7 @@ def contexts_roughly_equal(
     )
 
 
-@dataclass(frozen=True, eq=False)
-class RoughFormalContext:
+class RoughFormalContext(Record, eq=False):
     """A context bundled with its two definable approximations.
 
     All contexts sharing both approximations form one rough context, so

@@ -3,17 +3,20 @@
 Exit codes: 0 success, 1 usage error, 2 parse error, 3 semantic error,
 4 resource cap exceeded.  Failures print a single machine-parsable line
 ``error: <category>: <message>`` to stderr and emit nothing on stdout.
+
+Each command runs in a fresh interpreter, so the modules only some
+commands use (``approx``, ``concepts``, ``report``, ``rules`` and
+``json``) are imported in the branches of :func:`_dispatch` that run
+them.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from pathlib import Path
+from typing import TYPE_CHECKING
 
-from .approx import extent_lower, extent_upper_free, extent_upper_strict, lower_context, upper_context
-from .concepts import approximation_maps
 from .context import ApproximationSpace, FormalContext, _names, definable_attributes, derive_extent
 from .errors import ConceptLimitError, ParseError, RoughConceptsError, UndefinedMeasureError
 from .formats import (
@@ -26,8 +29,9 @@ from .formats import (
     render_context,
 )
 from .lattice import DEFAULT_MAX_CONCEPTS, ConceptLattice, enumerate_concepts
-from .report import _kernels_data, _rough_classes_data, build_report
-from .rules import Implication, certain_rule, implication_holds, possible_rule, rough_measure
+
+if TYPE_CHECKING:
+    from .rules import Implication
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -162,6 +166,8 @@ def _format_lattice(lat: ConceptLattice) -> str:
 
 
 def _parse_rule_option(ctx: FormalContext, raw: str) -> Implication:
+    from .rules import Implication
+
     if "=>" not in raw:
         raise UsageError(f"rule {raw!r} must look like premise=>conclusion")
     premise, conclusion = raw.split("=>", 1)
@@ -177,6 +183,8 @@ def _dispatch(args: argparse.Namespace) -> str:
         return _format_lattice(enumerate_concepts(ctx, args.max_concepts))
 
     if command == "approx":
+        from .approx import lower_context, upper_context
+
         space = _require_space(args, doc)
         approx = upper_context(space, ctx) if args.mode == "upper" else lower_context(space, ctx)
         return render_context(ContextDocument(doc.format, approx))
@@ -190,6 +198,8 @@ def _dispatch(args: argparse.Namespace) -> str:
         if args.approx == "base":
             result = derive_extent(ctx, attrs)
         else:
+            from .approx import extent_lower, extent_upper_free, extent_upper_strict
+
             space = _require_space(args, doc)
             if args.approx == "upper":
                 compute = extent_upper_strict if args.strict_upper else extent_upper_free
@@ -199,6 +209,11 @@ def _dispatch(args: argparse.Namespace) -> str:
         return ",".join(_names(ctx.objects, result))
 
     if command == "assignments":
+        import json
+
+        from .concepts import approximation_maps
+        from .report import _kernels_data
+
         space = _require_space(args, doc)
         maps = approximation_maps(space, ctx, args.max_concepts)
         return json.dumps(
@@ -211,11 +226,18 @@ def _dispatch(args: argparse.Namespace) -> str:
         )
 
     if command == "rough-classes":
+        import json
+
+        from .concepts import approximation_maps
+        from .report import _rough_classes_data
+
         space = _require_space(args, doc)
         maps = approximation_maps(space, ctx, args.max_concepts)
         return json.dumps(_rough_classes_data(maps), indent=2)
 
     if command == "rules":
+        from .rules import Implication, certain_rule, implication_holds, possible_rule, rough_measure
+
         implication = Implication.of(ctx, _attr_list(args.premise), _attr_list(args.conclusion))
         if args.measure:
             try:
@@ -229,6 +251,10 @@ def _dispatch(args: argparse.Namespace) -> str:
         return "true" if implication_holds(ctx, implication) else "false"
 
     if command == "report":
+        import json
+
+        from .report import build_report
+
         space = _require_space(args, doc)
         rules = [_parse_rule_option(ctx, raw) for raw in args.rule]
         return json.dumps(build_report(space, ctx, rules, args.max_concepts), indent=2)
@@ -237,6 +263,8 @@ def _dispatch(args: argparse.Namespace) -> str:
         if args.which == "base":
             target = ctx
         else:
+            from .approx import lower_context, upper_context
+
             space = _require_space(args, doc)
             target = upper_context(space, ctx) if args.which == "upper" else lower_context(space, ctx)
         return export_dot(enumerate_concepts(target, args.max_concepts), args.labeling)

@@ -13,16 +13,14 @@ combined row pattern is not realized, so it is a property of the
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
+from ._record import Record
 from .approx import _MODES, OrderMode, lower_context, upper_context
 from .context import ApproximationSpace, FormalContext, _bits, _mask, require_same_universe
 from .errors import ConceptLimitError
 from .lattice import DEFAULT_MAX_CONCEPTS, ConceptLattice, FormalConcept, enumerate_concepts
 
 
-@dataclass(frozen=True)
-class RoughConceptClass:
+class RoughConceptClass(Record):
     """Base concepts sharing both conceptual approximations.
 
     ``members`` holds base-lattice concept indices in ascending order.
@@ -33,8 +31,7 @@ class RoughConceptClass:
     lower_image: FormalConcept
 
 
-@dataclass(frozen=True, eq=False)
-class ConceptApproximationMaps:
+class ConceptApproximationMaps(Record, eq=False):
     """The three lattices plus both assignment maps between them.
 
     ``to_upper[i]`` (resp. ``to_lower[i]``) is the index, in the upper

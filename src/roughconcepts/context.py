@@ -10,10 +10,10 @@ masks and the mask operations extent, intent, upper and lower.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Iterator, Sequence
 
+from ._record import Record
 from .errors import (
     DuplicateNameError,
     InvalidSetError,
@@ -87,8 +87,7 @@ class _ObjectIndex:
         return _checked_indices(objects, len(self.objects), "object")
 
 
-@dataclass(frozen=True)
-class FormalContext(_ObjectIndex):
+class FormalContext(Record, _ObjectIndex):
     """A binary incidence table between named objects and attributes.
 
     ``rows[g]`` holds the attribute indices object ``g`` has; the column
@@ -248,8 +247,7 @@ class FormalContext(_ObjectIndex):
         return _checked_indices(attributes, len(self.attributes), "attribute")
 
 
-@dataclass(frozen=True)
-class ApproximationSpace(_ObjectIndex):
+class ApproximationSpace(Record, _ObjectIndex):
     """A partition of the object universe into indiscernibility blocks.
 
     Two objects are indiscernible exactly when they share a block, which

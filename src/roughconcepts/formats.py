@@ -8,22 +8,21 @@ deterministic and round-trip through their parsers.
 
 from __future__ import annotations
 
-import csv
 import io
-import json
-from dataclasses import dataclass
-from typing import Iterable
+from typing import TYPE_CHECKING, Iterable
 
+from ._record import Record
 from .context import ApproximationSpace, FormalContext, _names
 from .errors import ParseError, RoughConceptsError
-from .lattice import ConceptLattice
+
+if TYPE_CHECKING:
+    from .lattice import ConceptLattice
 
 FORMATS = ("cxt", "csv", "json")
 _EXTENSIONS = {".cxt": "cxt", ".csv": "csv", ".json": "json"}
 
 
-@dataclass(frozen=True)
-class ContextDocument:
+class ContextDocument(Record):
     """A parsed context file: the context plus an optional embedded partition.
 
     Only the JSON format can carry a partition section.
@@ -171,6 +170,8 @@ def _render_cxt(ctx: FormalContext) -> str:
 
 
 def _parse_csv(text: str) -> FormalContext:
+    import csv
+
     reader = csv.reader(io.StringIO(text))
     try:
         table = list(reader)
@@ -220,6 +221,8 @@ def _parse_csv(text: str) -> FormalContext:
 
 
 def _render_csv(ctx: FormalContext) -> str:
+    import csv
+
     buffer = io.StringIO()
     writer = csv.writer(buffer, lineterminator="\n")
     writer.writerow([""] + list(ctx.attributes))
@@ -241,6 +244,8 @@ def _string_list(data: dict, key: str) -> list[str]:
 
 
 def _parse_json(text: str) -> tuple[FormalContext, ApproximationSpace | None]:
+    import json
+
     try:
         data = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -300,6 +305,8 @@ def _blocks_data(space: ApproximationSpace) -> list[list[str]]:
 
 
 def _render_json(doc: ContextDocument) -> str:
+    import json
+
     payload = _context_data(doc.context)
     if doc.partition is not None:
         payload["partition"] = _blocks_data(doc.partition)

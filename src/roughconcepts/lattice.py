@@ -2,24 +2,30 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Callable, Iterable, Iterator
 
+from ._record import Record
 from .context import AttributeSet, FormalContext, ObjectSet, _bits, _mask
 from .errors import ConceptLimitError, InvalidSetError, LatticeMismatchError
 
 DEFAULT_MAX_CONCEPTS = 100_000
 
 
-@dataclass(frozen=True)
-class FormalConcept:
-    """An extent/intent pair closed under both derivation operators."""
+class FormalConcept(Record, hidden=("context",)):
+    """An extent/intent pair closed under both derivation operators.
+
+    ``context`` is the context of the lattice that enumerated the
+    concept, which tells lattices apart in :func:`concept_leq`; it takes
+    no part in equality, hashing or the repr.  Holding the context rather
+    than the lattice keeps concepts and lattice free of reference cycles,
+    so reference counting frees a dropped lattice.
+    """
 
     extent: ObjectSet
     intent: AttributeSet
     index: int
-    lattice: "ConceptLattice | None" = field(default=None, compare=False, repr=False)
+    context: FormalContext | None = None
 
 
 class ConceptLattice:
@@ -37,7 +43,7 @@ class ConceptLattice:
         """``closed`` holds (extent members, extent mask, intent mask) in canonical order."""
         self.context = context
         self.concepts: tuple[FormalConcept, ...] = tuple(
-            FormalConcept(frozenset(members), frozenset(_bits(i)), index, self)
+            FormalConcept(frozenset(members), frozenset(_bits(i)), index, context)
             for index, (members, _, i) in enumerate(closed)
         )
         # Keyed by extent mask; the keys keep canonical order.
@@ -153,9 +159,9 @@ def covering_relation(lat: ConceptLattice) -> list[tuple[int, int]]:
 
 
 def _require_same_lattice(first: FormalConcept, second: FormalConcept) -> None:
-    if first.lattice is None or second.lattice is None:
+    if first.context is None or second.context is None:
         raise LatticeMismatchError("concept does not belong to a lattice")
-    if first.lattice is not second.lattice and first.lattice.context != second.lattice.context:
+    if first.context is not second.context and first.context != second.context:
         raise LatticeMismatchError("concepts come from different lattices")
 
 

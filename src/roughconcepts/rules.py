@@ -2,17 +2,18 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from fractions import Fraction
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
+from ._record import Record
 from .approx import _extent_mask
 from .context import ApproximationSpace, AttributeSet, FormalContext, derive_extent
 from .errors import UndefinedMeasureError
 
+if TYPE_CHECKING:
+    from fractions import Fraction
 
-@dataclass(frozen=True)
-class Implication:
+
+class Implication(Record):
     """``premise -> conclusion`` over the attributes of some context."""
 
     premise: AttributeSet
@@ -32,8 +33,7 @@ class Implication:
         return cls(ctx.attribute_set(*premise_names), ctx.attribute_set(*conclusion_names))
 
 
-@dataclass(frozen=True)
-class RoughMeasure:
+class RoughMeasure(Record):
     """Exact fraction of premise-carrying objects that also carry the conclusion.
 
     Kept as raw counts; ``value`` reduces to a :class:`Fraction` so the
@@ -51,6 +51,8 @@ class RoughMeasure:
 
     @property
     def value(self) -> Fraction:
+        from fractions import Fraction
+
         return Fraction(self.numerator, self.denominator)
 
 

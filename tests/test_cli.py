@@ -2,10 +2,16 @@
 
 from __future__ import annotations
 
+import io
 import json
+import re
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
-from roughconcepts.cli import run_cli
+from hypothesis import given, settings, strategies as st
+
+from roughconcepts.cli import EXIT_PARSE, EXIT_RESOURCE, EXIT_SEMANTIC, EXIT_USAGE, run_cli
 
 DATA = Path(__file__).parent / "data"
 CONTEXT = ["--context", str(DATA / "living.cxt")]
@@ -219,3 +225,67 @@ def test_help_exits_zero(capsys):
     code, out, _ = run(capsys, "--help")
     assert code == 0
     assert "roughconcepts" in out
+
+
+# ── contract guard ──────────────────────────────────────────────────
+
+EXIT_CODES = {
+    "usage": EXIT_USAGE,
+    "parse": EXIT_PARSE,
+    "semantic": EXIT_SEMANTIC,
+    "resource": EXIT_RESOURCE,
+}
+FIXTURES = ("living.cxt", "living.csv", "living.json", "living_partition.txt")
+FILE_COMMANDS = (
+    ("lattice",),
+    ("approx", "--mode", "upper"),
+    ("definable",),
+    ("extent", "--attrs", "lb,ll", "--approx", "lower"),
+    ("rules", "--premise", "lb", "--conclusion", "ll", "--possible"),
+    ("report", "--rule", "lb=>ll"),
+)
+# Bytes that carry structure in one of the formats, besides any byte at all.
+SIGNIFICANT = st.sampled_from(list(b'X.,\n\r{}[]":#0 '))
+
+
+@st.composite
+def mutated_fixture(draw):
+    """A living fixture with one to four bytes replaced, inserted or deleted."""
+    name = draw(st.sampled_from(FIXTURES))
+    data = bytearray((DATA / name).read_bytes())
+    for _ in range(draw(st.integers(1, 4))):
+        at = draw(st.integers(0, len(data)))
+        edit = draw(st.sampled_from(("replace", "insert", "delete")))
+        byte = draw(st.one_of(SIGNIFICANT, st.integers(0, 255)))
+        if edit == "insert" or at == len(data):
+            data.insert(at, byte)
+        elif edit == "replace":
+            data[at] = byte
+        else:
+            del data[at]
+    return name, bytes(data)
+
+
+@settings(max_examples=300, deadline=None)
+@given(mutated_fixture(), st.sampled_from(FILE_COMMANDS))
+def test_contract_holds_on_mutated_fixtures(fixture, command):
+    """Exit 0 with nothing on stderr, or one ``error:`` line with its exit code and no stdout."""
+    name, data = fixture
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / name
+        path.write_bytes(data)
+        partition = name == "living_partition.txt"
+        context = DATA / "living.cxt" if partition else path
+        argv = [*command, "--context", str(context)]
+        if context.suffix != ".json":  # the JSON fixture embeds its partition
+            argv += ["--partition", str(path if partition else DATA / "living_partition.txt")]
+        out, err = io.StringIO(), io.StringIO()
+        with redirect_stdout(out), redirect_stderr(err):
+            code = run_cli(argv)
+    if code == 0:
+        assert err.getvalue() == ""
+        return
+    assert out.getvalue() == ""
+    line = re.fullmatch(r"error: (\w+): [^\n]+\n", err.getvalue())
+    assert line is not None, err.getvalue()
+    assert EXIT_CODES.get(line[1]) == code, (code, err.getvalue())

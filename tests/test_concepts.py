@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import gc
 import random
+import weakref
 
 import pytest
 
@@ -83,6 +85,23 @@ def test_images_reject_foreign_concepts(living, living_maps):
         concept_upper_approx(living_maps, other.bottom)
     with pytest.raises(LatticeMismatchError):
         lower_join(living_maps, living_maps.base.top)
+
+
+def test_dropped_maps_are_freed_by_reference_counting(living, living_space):
+    """Concepts hold their lattice's context, not the lattice: no cycle keeps a result alive."""
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        maps = approximation_maps(living_space, living)
+        lattices = (maps.base, maps.upper, maps.lower)
+        for lat in lattices:
+            assert lat.covers
+        refs = [weakref.ref(obj) for obj in (maps, *lattices, maps.upper.top)]
+        del maps, lattices, lat
+        assert [ref() for ref in refs] == [None] * len(refs)
+    finally:
+        if enabled:
+            gc.enable()
 
 
 # ── adjoints ─────────────────────────────────────────────────────────

@@ -10,6 +10,7 @@ from hypothesis import given
 
 from roughconcepts import (
     ConceptLimitError,
+    FormalConcept,
     FormalContext,
     LatticeMismatchError,
     approximation_maps,
@@ -131,6 +132,17 @@ def test_concept_leq_lattice_mismatch(living, living_upper):
     other = enumerate_concepts(living_upper)
     with pytest.raises(LatticeMismatchError):
         concept_leq(base.top, other.top)
+
+
+def test_concept_leq_lattice_membership_is_by_context(living):
+    first = enumerate_concepts(living)
+    second = enumerate_concepts(FormalContext(living.objects, living.attributes, living.rows))
+    assert first.top.context is living
+    assert concept_leq(first.bottom, second.top)
+    bare = FormalConcept(first.top.extent, first.top.intent, 0)
+    assert bare == first.top and bare.context is None
+    with pytest.raises(LatticeMismatchError, match="does not belong to a lattice"):
+        concept_leq(bare, first.top)
 
 
 # ── meet and join ──────────────────────────────────────────────────────
