@@ -57,6 +57,12 @@ def _unique_names(names: Iterable[str], kind: str) -> tuple[str, ...]:
     return out
 
 
+def _uncovered_message(names: Sequence[str]) -> str:
+    """One line naming the objects no block covers: the first five, quoted, and a count."""
+    more = f" and {len(names) - 5} more" if len(names) > 5 else ""
+    return "objects not covered by any block: " + ", ".join(map(repr, names[:5])) + more
+
+
 def _checked_indices(values: Iterable[int], size: int, kind: str) -> frozenset[int]:
     out = frozenset(values)
     for i in out:
@@ -275,8 +281,7 @@ class ApproximationSpace(Record, _ObjectIndex):
             covered |= checked
         if len(covered) != len(self.objects):
             missing = sorted(set(range(len(self.objects))) - covered)
-            names = ", ".join(self.objects[g] for g in missing)
-            raise PartitionError(f"objects not covered by any block: {names}")
+            raise PartitionError(_uncovered_message([self.objects[g] for g in missing]))
         object.__setattr__(self, "blocks", tuple(sorted(raw, key=min)))
 
     # -- construction ------------------------------------------------------

@@ -12,7 +12,7 @@ import io
 from typing import TYPE_CHECKING, Iterable
 
 from ._record import Record
-from .context import ApproximationSpace, FormalContext, _names
+from .context import ApproximationSpace, FormalContext, _names, _uncovered_message
 from .errors import ParseError, RoughConceptsError
 
 if TYPE_CHECKING:
@@ -367,7 +367,7 @@ def parse_partition(data: str | bytes, objects: Iterable[str]) -> ApproximationS
 
     missing = [name for name in universe if name not in seen]
     if missing:
-        raise ParseError("objects not covered by any block: " + ", ".join(missing))
+        raise ParseError(_uncovered_message(missing))
     return ApproximationSpace.from_names(universe, blocks)
 
 

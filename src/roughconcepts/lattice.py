@@ -135,20 +135,26 @@ def enumerate_concepts(
 
 
 def _covering_pairs(extents: list[int]) -> list[tuple[int, int]]:
-    """Transitive reduction of extent inclusion, as (lower, upper) index pairs."""
-    n = len(extents)
-    above = [0] * n
-    for i, ei in enumerate(extents):
-        for j, ej in enumerate(extents):
-            if ei != ej and not ei & ~ej:
-                above[i] |= 1 << j
+    """Transitive reduction of extent inclusion, as (lower, upper) index pairs.
+
+    ``extents`` is in canonical order, so every strict superset of
+    extent i comes before it and i's up-set lies among the j < i.  The
+    highest index in that set is a cover of i, since anything between
+    the two would come after it; taking covers nearest first and
+    striking each cover's own up-set visits only i's covers.
+    """
+    above: list[int] = []
     covers: list[tuple[int, int]] = []
-    for i in range(n):
-        reachable = 0
-        for j in _bits(above[i]):
-            reachable |= above[j]
-        for j in _bits(above[i] & ~reachable):
+    for i, ei in enumerate(extents):
+        up = 0
+        for j in range(i):
+            if not ei & ~extents[j]:
+                up |= 1 << j
+        above.append(up)
+        while up:
+            j = up.bit_length() - 1
             covers.append((i, j))
+            up &= ~(above[j] | (1 << j))
     covers.sort()
     return covers
 

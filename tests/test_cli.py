@@ -221,6 +221,25 @@ def test_partition_file_error_is_parse_error(capsys, tmp_path):
     assert code == 2 and out == ""
 
 
+def test_uncovered_objects_error_is_one_line(capsys, tmp_path):
+    # A name holding a newline, and more missing names than the message lists.
+    objects = ["a\nb", "c"] + [f"o{i}" for i in range(20)]
+    doc = {"objects": objects, "attributes": ["x"], "incidence": [["c", "x"]]}
+    plain = tmp_path / "plain.json"
+    plain.write_text(json.dumps(doc))
+    embedded = tmp_path / "embedded.json"
+    embedded.write_text(json.dumps({**doc, "partition": [["c"]]}))
+    part = tmp_path / "partition.txt"
+    part.write_text("c\n")
+    for source in (["--context", str(embedded)], ["--context", str(plain), "--partition", str(part)]):
+        code, out, err = run(capsys, "approx", "--mode", "upper", *source)
+        assert (code, out) == (EXIT_PARSE, "")
+        assert err == (
+            "error: parse: objects not covered by any block: "
+            "'a\\nb', 'o0', 'o1', 'o2', 'o3' and 16 more\n"
+        )
+
+
 def test_help_exits_zero(capsys):
     code, out, _ = run(capsys, "--help")
     assert code == 0

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given
 
 from roughconcepts import (
+    ApproximationSpace,
     ConceptLimitError,
     FormalConcept,
     FormalContext,
@@ -25,8 +26,10 @@ from roughconcepts import (
     indiscernibility_kernels,
     lattice_join,
     lattice_meet,
+    lower_context,
     lower_join,
     rough_concept_classes,
+    upper_context,
     upper_meet,
 )
 
@@ -234,6 +237,39 @@ def test_covers_match_brute_force(living):
 def test_covers_equal_extent_reduction(ctx):
     lat = enumerate_concepts(ctx)
     assert lat.covers == tuple(sorted(brute_force_covers(lat)))
+
+
+@given(contexts())
+def test_canonical_order_puts_supersets_first(ctx):
+    # The cover reduction looks for the strict supersets of extent i only among j < i.
+    extents = [c.extent for c in enumerate_concepts(ctx)]
+    assert not any(e < later for i, e in enumerate(extents) for later in extents[i + 1 :])
+
+
+def coarse_case(seed: int, n: int = 30, m: int = 16, k: int = 10):
+    """A seeded n×m context with k blocks of near-equal size."""
+    rng = random.Random(seed)
+    density = rng.uniform(0.25, 0.35)
+    rows = tuple(frozenset(a for a in range(m) if rng.random() < density) for _ in range(n))
+    objects = tuple(f"g{g}" for g in range(n))
+    ctx = FormalContext(objects, tuple(f"m{a}" for a in range(m)), rows)
+    order = list(range(n))
+    rng.shuffle(order)
+    return ctx, ApproximationSpace(objects, tuple(frozenset(order[b::k]) for b in range(k)))
+
+
+def test_covers_on_coarse_approximation_lattices():
+    # Thirty objects in ten blocks, the shape of the benchmark's coarse
+    # partitions: the base and upper lattices have 94 to 253 concepts and
+    # chains of 7 to 11, far beyond the 5×5 cases above.
+    sizes = []
+    for seed in range(12):
+        ctx, space = coarse_case(seed)
+        for approx in (ctx, upper_context(space, ctx), lower_context(space, ctx)):
+            lat = enumerate_concepts(approx)
+            assert lat.covers == tuple(sorted(brute_force_covers(lat)))
+            sizes.append(len(lat))
+    assert max(sizes) >= 200 and sum(sizes) >= 2000
 
 
 def test_covers_built_once_and_only_when_read(living, living_space):
