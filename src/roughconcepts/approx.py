@@ -15,10 +15,11 @@ from .context import (
     AttributeSet,
     FormalContext,
     ObjectSet,
+    _checked_index,
     _mask,
     require_same_universe,
 )
-from .errors import InvalidSetError, ShapeMismatchError
+from .errors import ShapeMismatchError
 
 OrderMode = Literal["upper", "lower", "rough"]
 _MODES = ("upper", "lower", "rough")
@@ -100,9 +101,7 @@ def extent_lower(
 def _resolve_object(ctx: FormalContext, obj: int | str) -> int:
     if isinstance(obj, str):
         return ctx.object_index(obj)
-    if not 0 <= obj < len(ctx.objects):
-        raise InvalidSetError(f"object index {obj!r} out of range")
-    return obj
+    return _checked_index(obj, len(ctx.objects), "object")
 
 
 def possibly_has(

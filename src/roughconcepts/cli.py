@@ -49,27 +49,35 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
+def _non_negative_int(raw: str) -> int:
+    try:
+        value = int(raw)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {raw!r}") from None
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must not be negative, got {value}")
+    return value
+
+
 def _build_parser() -> _Parser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--context", required=True, metavar="FILE", help="context input file")
-    common.add_argument("--format", choices=FORMATS, help="input format (default: by extension)")
-    common.add_argument("--partition", metavar="FILE", help="partition file (one block per line)")
-    common.add_argument(
+    # Each subcommand declares exactly the shared options it reads.
+    source = argparse.ArgumentParser(add_help=False)
+    source.add_argument("--context", required=True, metavar="FILE", help="context input file")
+    source.add_argument("--format", choices=FORMATS, help="input format (default: by extension)")
+
+    space = argparse.ArgumentParser(add_help=False)
+    group = space.add_mutually_exclusive_group()
+    group.add_argument("--partition", metavar="FILE", help="partition file (one block per line)")
+    group.add_argument(
         "--partition-by",
-        dest="partition_by",
         metavar="ATTRS",
         help="synthesize the partition whose blocks have equal rows on these attributes",
     )
-    common.add_argument(
-        "--strict-upper",
-        dest="strict_upper",
-        action="store_true",
-        help="use the strict upper extent semantics for extent queries",
-    )
-    common.add_argument(
+
+    cap = argparse.ArgumentParser(add_help=False)
+    cap.add_argument(
         "--max-concepts",
-        dest="max_concepts",
-        type=int,
+        type=_non_negative_int,
         default=DEFAULT_MAX_CONCEPTS,
         help="abort enumeration beyond this many concepts",
     )
@@ -77,21 +85,26 @@ def _build_parser() -> _Parser:
     parser = _Parser(prog="roughconcepts", description="Concept lattices with rough approximation.")
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
-    sub.add_parser("lattice", parents=[common], help="list concepts and covers of the context")
+    sub.add_parser("lattice", parents=[source, cap], help="list concepts and covers of the context")
 
-    p = sub.add_parser("approx", parents=[common], help="print an approximation context")
+    p = sub.add_parser("approx", parents=[source, space], help="print an approximation context")
     p.add_argument("--mode", choices=("upper", "lower"), required=True)
 
-    sub.add_parser("definable", parents=[common], help="list definable attributes")
+    sub.add_parser("definable", parents=[source, space], help="list definable attributes")
 
-    p = sub.add_parser("extent", parents=[common], help="extent of an attribute set")
+    p = sub.add_parser("extent", parents=[source, space], help="extent of an attribute set")
     p.add_argument("--attrs", required=True, metavar="A,B,...")
     p.add_argument("--approx", choices=("base", "upper", "lower"), default="base")
+    p.add_argument(
+        "--strict-upper", action="store_true", help="strict upper extent semantics for --approx upper"
+    )
 
-    sub.add_parser("assignments", parents=[common], help="conceptual assignment maps and kernels")
-    sub.add_parser("rough-classes", parents=[common], help="rough concept classes")
+    sub.add_parser(
+        "assignments", parents=[source, space, cap], help="conceptual assignment maps and kernels"
+    )
+    sub.add_parser("rough-classes", parents=[source, space, cap], help="rough concept classes")
 
-    p = sub.add_parser("rules", parents=[common], help="evaluate an attribute implication")
+    p = sub.add_parser("rules", parents=[source, space], help="evaluate an attribute implication")
     p.add_argument("--premise", required=True, metavar="A,B,...")
     p.add_argument("--conclusion", required=True, metavar="A,B,...")
     group = p.add_mutually_exclusive_group()
@@ -99,7 +112,7 @@ def _build_parser() -> _Parser:
     group.add_argument("--possible", action="store_true", help="test in the upper approximation")
     group.add_argument("--measure", action="store_true", help="print the exact rough measure")
 
-    p = sub.add_parser("report", parents=[common], help="full analysis report as JSON")
+    p = sub.add_parser("report", parents=[source, space, cap], help="full analysis report as JSON")
     p.add_argument(
         "--rule",
         action="append",
@@ -108,7 +121,7 @@ def _build_parser() -> _Parser:
         help="include this implication in the report (repeatable)",
     )
 
-    p = sub.add_parser("export", parents=[common], help="export a lattice diagram")
+    p = sub.add_parser("export", parents=[source, space, cap], help="export a lattice diagram")
     p.add_argument("--dot", action="store_true", required=True, help="emit Graphviz DOT text")
     p.add_argument("--labeling", choices=("full", "reduced"), default="full")
     p.add_argument("--which", choices=("base", "upper", "lower"), default="base")
@@ -128,8 +141,6 @@ def _load_document(args: argparse.Namespace) -> ContextDocument:
 
 def _load_space(args: argparse.Namespace, doc: ContextDocument) -> ApproximationSpace | None:
     ctx = doc.context
-    if args.partition and args.partition_by:
-        raise UsageError("--partition and --partition-by are mutually exclusive")
     if args.partition:
         return parse_partition(Path(args.partition).read_bytes(), ctx.objects)
     if args.partition_by:
@@ -274,11 +285,8 @@ def _dispatch(args: argparse.Namespace) -> str:
 
 def run_cli(argv: list[str]) -> int:
     """Run one CLI invocation; returns the process exit status."""
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
-        if args.max_concepts < 0:
-            parser.error(f"argument --max-concepts: must not be negative, got {args.max_concepts}")
+        args = _build_parser().parse_args(argv)
     except UsageError as exc:
         print(f"error: usage: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -63,11 +63,16 @@ def _uncovered_message(names: Sequence[str]) -> str:
     return "objects not covered by any block: " + ", ".join(map(repr, names[:5])) + more
 
 
+def _checked_index(i: int, size: int, kind: str) -> int:
+    if not isinstance(i, int) or not 0 <= i < size:
+        raise InvalidSetError(f"{kind} index {i!r} out of range for universe of size {size}")
+    return i
+
+
 def _checked_indices(values: Iterable[int], size: int, kind: str) -> frozenset[int]:
     out = frozenset(values)
     for i in out:
-        if not isinstance(i, int) or not 0 <= i < size:
-            raise InvalidSetError(f"{kind} index {i!r} out of range for universe of size {size}")
+        _checked_index(i, size, kind)
     return out
 
 
@@ -233,11 +238,8 @@ class FormalContext(Record, _ObjectIndex):
 
     def has(self, g: int, m: int) -> bool:
         """Whether object ``g`` has attribute ``m`` (by index)."""
-        if not 0 <= g < len(self.objects):
-            raise InvalidSetError(f"object index {g!r} out of range")
-        if not 0 <= m < len(self.attributes):
-            raise InvalidSetError(f"attribute index {m!r} out of range")
-        return m in self.rows[g]
+        row = self.rows[_checked_index(g, len(self.objects), "object")]
+        return _checked_index(m, len(self.attributes), "attribute") in row
 
     @property
     def incidence_count(self) -> int:
@@ -295,13 +297,12 @@ class ApproximationSpace(Record, _ObjectIndex):
         index = {name: i for i, name in enumerate(objects)}
         blocks: list[frozenset[int]] = []
         for block in named_blocks:
-            members = list(block)
-            if len(set(members)) != len(members):
-                raise PartitionError(f"object listed twice within a block: {members}")
             ids = set()
-            for name in members:
+            for name in block:
                 if name not in index:
                     raise UnknownNameError(f"unknown object {name!r}")
+                if index[name] in ids:
+                    raise PartitionError(f"object {name!r} listed twice within a block")
                 ids.add(index[name])
             blocks.append(frozenset(ids))
         return cls(objects, tuple(blocks))
@@ -334,9 +335,7 @@ class ApproximationSpace(Record, _ObjectIndex):
         return tuple(out)
 
     def block_index_of(self, g: int) -> int:
-        if not 0 <= g < len(self.objects):
-            raise InvalidSetError(f"object index {g!r} out of range")
-        return self._block_index[g]
+        return self._block_index[_checked_index(g, len(self.objects), "object")]
 
     def block_of(self, g: int) -> ObjectSet:
         """The indiscernibility block containing object ``g``."""

@@ -71,8 +71,6 @@ def rough_measure(ctx: FormalContext, implication: Implication) -> RoughMeasure:
     """
     premise = derive_extent(ctx, implication.premise)
     conclusion = derive_extent(ctx, implication.conclusion)
-    if not premise:
-        raise UndefinedMeasureError("empty premise extent leaves the measure undefined")
     return RoughMeasure(len(premise & conclusion), len(premise))
 
 

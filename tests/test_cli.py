@@ -9,6 +9,7 @@ import tempfile
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from roughconcepts.cli import EXIT_PARSE, EXIT_RESOURCE, EXIT_SEMANTIC, EXIT_USAGE, run_cli
@@ -143,7 +144,43 @@ def test_usage_errors(capsys):
     code, out, err = run(capsys, "frobnicate", *CONTEXT)
     assert code == 1
     code, out, err = run(capsys, "definable", *CONTEXT, *PARTITION, "--partition-by", "lw")
-    assert code == 1
+    assert (code, out) == (1, "")
+    assert err == "error: usage: argument --partition-by: not allowed with argument --partition\n"
+
+
+# Arguments each subcommand runs with; a shared option it does not read is not declared.
+COMMAND_ARGS = {
+    "lattice": (),
+    "approx": (*PARTITION, "--mode", "upper"),
+    "definable": PARTITION,
+    "extent": (*PARTITION, "--attrs", "lb"),
+    "rules": (*PARTITION, "--premise", "lb", "--conclusion", "ll"),
+    "assignments": PARTITION,
+    "rough-classes": PARTITION,
+    "report": PARTITION,
+    "export": (*PARTITION, "--dot"),
+}
+STRICT = ("--strict-upper",)
+CAP = ("--max-concepts", "50")
+UNDECLARED_OPTIONS = [
+    ("lattice", PARTITION),
+    ("lattice", ("--partition-by", "lw")),
+    ("lattice", STRICT),
+    *((command, option) for command in ("approx", "definable", "rules") for option in (STRICT, CAP)),
+    ("extent", CAP),
+    *((command, STRICT) for command in ("assignments", "rough-classes", "report", "export")),
+]
+
+
+@pytest.mark.parametrize(
+    "command, option", UNDECLARED_OPTIONS, ids=[f"{c} {o[0]}" for c, o in UNDECLARED_OPTIONS]
+)
+def test_undeclared_shared_option_is_usage_error(capsys, command, option):
+    assert run(capsys, command, *CONTEXT, *COMMAND_ARGS[command])[0] == 0
+    code, out, err = run(capsys, command, *CONTEXT, *COMMAND_ARGS[command], *option)
+    assert (code, out) == (EXIT_USAGE, "")
+    assert err.startswith(f"error: usage: unrecognized arguments: {option[0]}")
+    assert err.count("\n") == 1
 
 
 def test_parse_errors(capsys, tmp_path):
@@ -179,7 +216,10 @@ def test_resource_cap(capsys):
 def test_max_concepts_must_not_be_negative(capsys):
     code, out, err = run(capsys, "lattice", *CONTEXT, "--max-concepts", "-1")
     assert (code, out) == (1, "")
-    assert err.startswith("error: usage:") and err.count("\n") == 1
+    assert err == "error: usage: argument --max-concepts: must not be negative, got -1\n"
+    code, out, err = run(capsys, "lattice", *CONTEXT, "--max-concepts", "ten")
+    assert (code, out) == (1, "")
+    assert err == "error: usage: argument --max-concepts: invalid int value: 'ten'\n"
     code, out, err = run(capsys, "lattice", *CONTEXT, "--max-concepts", "0")
     assert code == 4 and out == "" and err.startswith("error: resource:")
     code, out, _ = run(capsys, "lattice", *CONTEXT, "--max-concepts", "19")
@@ -240,6 +280,16 @@ def test_uncovered_objects_error_is_one_line(capsys, tmp_path):
         )
 
 
+def test_repeated_object_in_a_block_error_is_one_line(capsys, tmp_path):
+    objects = [f"o{i}" for i in range(2000)]
+    doc = {"objects": objects, "attributes": [], "partition": [objects + ["o0"]]}
+    context = tmp_path / "repeated.json"
+    context.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "definable", "--context", str(context))
+    assert (code, out) == (EXIT_PARSE, "")
+    assert err == "error: parse: object 'o0' listed twice within a block\n"
+
+
 def test_help_exits_zero(capsys):
     code, out, _ = run(capsys, "--help")
     assert code == 0
@@ -262,6 +312,9 @@ FILE_COMMANDS = (
     ("extent", "--attrs", "lb,ll", "--approx", "lower"),
     ("rules", "--premise", "lb", "--conclusion", "ll", "--possible"),
     ("report", "--rule", "lb=>ll"),
+    ("assignments",),
+    ("rough-classes",),
+    ("export", "--dot", "--which", "upper"),
 )
 # Bytes that carry structure in one of the formats, besides any byte at all.
 SIGNIFICANT = st.sampled_from(list(b'X.,\n\r{}[]":#0 '))
@@ -296,7 +349,8 @@ def test_contract_holds_on_mutated_fixtures(fixture, command):
         partition = name == "living_partition.txt"
         context = DATA / "living.cxt" if partition else path
         argv = [*command, "--context", str(context)]
-        if context.suffix != ".json":  # the JSON fixture embeds its partition
+        # The JSON fixture embeds its partition, and lattice declares no --partition.
+        if context.suffix != ".json" and command[0] != "lattice":
             argv += ["--partition", str(path if partition else DATA / "living_partition.txt")]
         out, err = io.StringIO(), io.StringIO()
         with redirect_stdout(out), redirect_stderr(err):

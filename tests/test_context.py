@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
@@ -14,11 +15,14 @@ from roughconcepts import (
     InvalidSetError,
     PartitionError,
     UniverseMismatchError,
+    certainly_has,
     definable_attributes,
     derive_extent,
     derive_intent,
     is_definable_set,
     lower_approx_set,
+    parse_context,
+    possibly_has,
     upper_approx_set,
 )
 
@@ -60,6 +64,34 @@ def test_row_and_column_views_agree(living):
         for m in range(len(living.attributes)):
             assert (m in living.rows[g]) == (g in living.columns[m])
             assert living.has(g, m) == (m in living.rows[g])
+
+
+@pytest.mark.parametrize("index", [1.0, 0.5, None, -1, 9])
+def test_scalar_index_must_be_an_int_in_range(living, living_space, index):
+    lookups = (
+        lambda: living.has(index, 0),
+        lambda: living.has(0, index),
+        lambda: living_space.block_index_of(index),
+        lambda: living_space.block_of(index),
+        lambda: possibly_has(living_space, living, index, frozenset()),
+        lambda: certainly_has(living_space, living, index, frozenset()),
+    )
+    for lookup in lookups:
+        with pytest.raises(InvalidSetError):
+            lookup()
+
+
+def test_bools_and_columns_constructors_match_parsed_context():
+    data = Path(__file__).parent / "data" / "living.cxt"
+    ctx = parse_context(data.read_bytes(), "cxt").context
+    objects, attributes = ctx.objects, ctx.attributes
+    table = [["X" if m in row else "" for m in range(len(attributes))] for row in ctx.rows]
+    assert FormalContext.from_bools(objects, attributes, table) == ctx
+    assert FormalContext.from_columns(objects, attributes, ctx.columns) == ctx
+    with pytest.raises(InvalidSetError):  # a mark in a tenth column of nine
+        FormalContext.from_bools(objects, attributes, [row + ["X"] for row in table])
+    with pytest.raises(InvalidSetError):  # object 8 of eight
+        FormalContext.from_columns(objects, attributes, [{8}, *ctx.columns[1:]])
 
 
 def test_duplicate_names_rejected():
@@ -173,6 +205,13 @@ def test_partition_invariants_enforced():
         ApproximationSpace(objs, (frozenset({0, 1}), frozenset({1, 2})))  # overlap
     with pytest.raises(PartitionError):
         ApproximationSpace(objs, (frozenset(), frozenset({0, 1, 2})))  # empty block
+
+
+def test_repeated_object_in_a_block_names_only_that_object():
+    objects = [f"o{i}" for i in range(2000)]
+    with pytest.raises(PartitionError) as info:
+        ApproximationSpace.from_names(objects, [objects + ["o0"]])
+    assert str(info.value) == "object 'o0' listed twice within a block"
 
 
 def test_block_lookup_realizes_equivalence(living_space):
