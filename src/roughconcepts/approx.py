@@ -12,9 +12,9 @@ from typing import Callable, Iterable, Literal
 from ._record import Record
 from .context import (
     ApproximationSpace,
-    AttributeSet,
     FormalContext,
     ObjectSet,
+    _bits,
     _checked_index,
     _mask,
     require_same_universe,
@@ -26,28 +26,21 @@ _MODES = ("upper", "lower", "rough")
 
 
 def _approx_context(
-    space: ApproximationSpace, ctx: FormalContext, combine: Callable[..., AttributeSet]
+    space: ApproximationSpace, ctx: FormalContext, approx: Callable[[int], int]
 ) -> FormalContext:
-    # A column meets (contains) a block iff some (every) row of the block
-    # has the attribute, so each row becomes the union (intersection) of
-    # its block's rows.
     require_same_universe(space, ctx)
-    rows = list(ctx.rows)
-    for block in space.blocks:
-        row = combine(*(ctx.rows[g] for g in block))
-        for g in block:
-            rows[g] = row
-    return FormalContext(ctx.objects, ctx.attributes, tuple(rows))
+    columns = [_bits(approx(column)) for column in ctx._col_masks]
+    return FormalContext.from_columns(ctx.objects, ctx.attributes, columns)
 
 
 def upper_context(space: ApproximationSpace, ctx: FormalContext) -> FormalContext:
     """Columnwise upper approximation: the least definable context containing ``ctx``."""
-    return _approx_context(space, ctx, frozenset.union)
+    return _approx_context(space, ctx, space._upper)
 
 
 def lower_context(space: ApproximationSpace, ctx: FormalContext) -> FormalContext:
     """Columnwise lower approximation: the greatest definable context inside ``ctx``."""
-    return _approx_context(space, ctx, frozenset.intersection)
+    return _approx_context(space, ctx, space._lower)
 
 
 def _extent_mask(

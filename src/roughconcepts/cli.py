@@ -141,16 +141,15 @@ def _load_document(args: argparse.Namespace) -> ContextDocument:
 
 def _load_space(args: argparse.Namespace, doc: ContextDocument) -> ApproximationSpace | None:
     ctx = doc.context
-    if args.partition:
+    if args.partition is not None:
         return parse_partition(Path(args.partition).read_bytes(), ctx.objects)
-    if args.partition_by:
+    if args.partition_by is not None:
         names = _attr_list(args.partition_by)
         return ApproximationSpace.from_attribute_classes(ctx, ctx.attribute_set(*names))
     return doc.partition
 
 
-def _require_space(args: argparse.Namespace, doc: ContextDocument) -> ApproximationSpace:
-    space = _load_space(args, doc)
+def _require_space(space: ApproximationSpace | None) -> ApproximationSpace:
     if space is None:
         raise UsageError(
             "this command needs --partition, --partition-by, "
@@ -186,23 +185,27 @@ def _parse_rule_option(ctx: FormalContext, raw: str) -> Implication:
 
 
 def _dispatch(args: argparse.Namespace) -> str:
+    command = args.command
+    if command == "extent" and args.strict_upper and args.approx != "upper":
+        raise UsageError("argument --strict-upper: not allowed without --approx upper")
     doc = _load_document(args)
     ctx = doc.context
-    command = args.command
 
     if command == "lattice":
         return _format_lattice(enumerate_concepts(ctx, args.max_concepts))
 
+    # Read a given partition even where the mode ignores it, so a bad one always fails.
+    space = _load_space(args, doc)
+
     if command == "approx":
         from .approx import lower_context, upper_context
 
-        space = _require_space(args, doc)
+        space = _require_space(space)
         approx = upper_context(space, ctx) if args.mode == "upper" else lower_context(space, ctx)
         return render_context(ContextDocument(doc.format, approx))
 
     if command == "definable":
-        space = _require_space(args, doc)
-        return ",".join(_names(ctx.attributes, definable_attributes(space, ctx)))
+        return ",".join(_names(ctx.attributes, definable_attributes(_require_space(space), ctx)))
 
     if command == "extent":
         attrs = ctx.attribute_set(*_attr_list(args.attrs))
@@ -211,7 +214,7 @@ def _dispatch(args: argparse.Namespace) -> str:
         else:
             from .approx import extent_lower, extent_upper_free, extent_upper_strict
 
-            space = _require_space(args, doc)
+            space = _require_space(space)
             if args.approx == "upper":
                 compute = extent_upper_strict if args.strict_upper else extent_upper_free
                 result = compute(space, ctx, attrs)
@@ -225,8 +228,7 @@ def _dispatch(args: argparse.Namespace) -> str:
         from .concepts import approximation_maps
         from .report import _kernels_data
 
-        space = _require_space(args, doc)
-        maps = approximation_maps(space, ctx, args.max_concepts)
+        maps = approximation_maps(_require_space(space), ctx, args.max_concepts)
         return json.dumps(
             {
                 "to_upper": list(maps.to_upper),
@@ -242,8 +244,7 @@ def _dispatch(args: argparse.Namespace) -> str:
         from .concepts import approximation_maps
         from .report import _rough_classes_data
 
-        space = _require_space(args, doc)
-        maps = approximation_maps(space, ctx, args.max_concepts)
+        maps = approximation_maps(_require_space(space), ctx, args.max_concepts)
         return json.dumps(_rough_classes_data(maps), indent=2)
 
     if command == "rules":
@@ -256,9 +257,9 @@ def _dispatch(args: argparse.Namespace) -> str:
             except UndefinedMeasureError:
                 return "undefined"
         if args.certain:
-            return "true" if certain_rule(_require_space(args, doc), ctx, implication) else "false"
+            return "true" if certain_rule(_require_space(space), ctx, implication) else "false"
         if args.possible:
-            return "true" if possible_rule(_require_space(args, doc), ctx, implication) else "false"
+            return "true" if possible_rule(_require_space(space), ctx, implication) else "false"
         return "true" if implication_holds(ctx, implication) else "false"
 
     if command == "report":
@@ -266,7 +267,7 @@ def _dispatch(args: argparse.Namespace) -> str:
 
         from .report import build_report
 
-        space = _require_space(args, doc)
+        space = _require_space(space)
         rules = [_parse_rule_option(ctx, raw) for raw in args.rule]
         return json.dumps(build_report(space, ctx, rules, args.max_concepts), indent=2)
 
@@ -276,7 +277,7 @@ def _dispatch(args: argparse.Namespace) -> str:
         else:
             from .approx import lower_context, upper_context
 
-            space = _require_space(args, doc)
+            space = _require_space(space)
             target = upper_context(space, ctx) if args.which == "upper" else lower_context(space, ctx)
         return export_dot(enumerate_concepts(target, args.max_concepts), args.labeling)
 

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from ._record import Record
 from .approx import _MODES, OrderMode, lower_context, upper_context
-from .context import ApproximationSpace, FormalContext, _bits, _mask, require_same_universe
+from .context import ApproximationSpace, FormalContext, _bits, require_same_universe
 from .errors import ConceptLimitError
 from .lattice import DEFAULT_MAX_CONCEPTS, ConceptLattice, FormalConcept, enumerate_concepts
 
@@ -63,8 +63,8 @@ def approximation_maps(
     lower = _enumerate("lower", lower_context(space, ctx), max_concepts)
     # Intent-first: the extent of a base intent in the approximation
     # context is closed there by construction.
-    to_upper = tuple(upper._by_extent[upper.context._extent(i)].index for i in base._intents)
-    to_lower = tuple(lower._by_extent[lower.context._extent(i)].index for i in base._intents)
+    to_upper = tuple(upper._extent_index[upper.context._extent(i)] for i in base._intents)
+    to_lower = tuple(lower._extent_index[lower.context._extent(i)] for i in base._intents)
     return ConceptApproximationMaps(space, base, upper, lower, to_upper, to_lower)
 
 
@@ -103,14 +103,14 @@ def lower_join(maps: ConceptApproximationMaps, concept: FormalConcept) -> Formal
     closures g'' inside U, so the join is the base closure of
     the union of {g'' : g in U, g'' ⊆ U}.
     """
-    upper = _mask(maps.upper.require_member(concept).extent)
+    upper = maps.upper._extents[maps.upper.require_member(concept).index]
     ctx = maps.base.context
     union = 0
     for g in _bits(upper):
         closure = ctx._extent(ctx._row_masks[g])
         if not closure & ~upper:
             union |= closure
-    return maps.base._by_extent[ctx._extent(ctx._intent(union))]
+    return maps.base.concepts[maps.base._extent_index[ctx._extent(ctx._intent(union))]]
 
 
 def upper_meet(maps: ConceptApproximationMaps, concept: FormalConcept) -> FormalConcept:
@@ -122,9 +122,9 @@ def upper_meet(maps: ConceptApproximationMaps, concept: FormalConcept) -> Formal
     The meet of the closed supersets of the extent D is the base concept
     whose extent is the base closure D''.
     """
-    lower = _mask(maps.lower.require_member(concept).extent)
+    lower = maps.lower._extents[maps.lower.require_member(concept).index]
     ctx = maps.base.context
-    return maps.base._by_extent[ctx._extent(ctx._intent(lower))]
+    return maps.base.concepts[maps.base._extent_index[ctx._extent(ctx._intent(lower))]]
 
 
 def concept_order(
@@ -138,11 +138,12 @@ def concept_order(
         raise ValueError(f"unknown order mode {mode!r}")
     i = maps.base.require_member(first).index
     j = maps.base.require_member(second).index
+    ups, lows = maps.upper._extents, maps.lower._extents
     ok = True
     if mode in ("upper", "rough"):
-        ok = maps.upper[maps.to_upper[i]].extent <= maps.upper[maps.to_upper[j]].extent
+        ok = not ups[maps.to_upper[i]] & ~ups[maps.to_upper[j]]
     if ok and mode in ("lower", "rough"):
-        ok = maps.lower[maps.to_lower[i]].extent <= maps.lower[maps.to_lower[j]].extent
+        ok = not lows[maps.to_lower[i]] & ~lows[maps.to_lower[j]]
     return ok
 
 

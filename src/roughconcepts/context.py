@@ -64,7 +64,7 @@ def _uncovered_message(names: Sequence[str]) -> str:
 
 
 def _checked_index(i: int, size: int, kind: str) -> int:
-    if not isinstance(i, int) or not 0 <= i < size:
+    if not isinstance(i, int) or isinstance(i, bool) or not 0 <= i < size:
         raise InvalidSetError(f"{kind} index {i!r} out of range for universe of size {size}")
     return i
 
@@ -379,6 +379,7 @@ def require_same_universe(space: ApproximationSpace, ctx: FormalContext) -> None
 
 
 # -- derivation operators ------------------------------------------------------
+# Frozensets here: a mask result converted back through ``_bits`` costs about twice as much.
 
 
 def derive_intent(ctx: FormalContext, objects: Iterable[int]) -> AttributeSet:
@@ -407,18 +408,12 @@ def derive_extent(ctx: FormalContext, attributes: Iterable[int]) -> ObjectSet:
 
 def upper_approx_set(space: ApproximationSpace, objects: Iterable[int]) -> ObjectSet:
     """Union of all blocks meeting the set: its least definable superset."""
-    hit = {space._block_index[g] for g in space.check_object_set(objects)}
-    return frozenset().union(*[space.blocks[b] for b in hit])
+    return space._blocks_meeting(_mask(space.check_object_set(objects)))
 
 
 def lower_approx_set(space: ApproximationSpace, objects: Iterable[int]) -> ObjectSet:
     """Union of all blocks contained in the set: its greatest definable subset."""
-    members = space.check_object_set(objects)
-    out: set[int] = set()
-    for block in space.blocks:
-        if block <= members:
-            out |= block
-    return frozenset(out)
+    return space._blocks_meeting(space._lower(_mask(space.check_object_set(objects))))
 
 
 def is_definable_set(space: ApproximationSpace, objects: Iterable[int]) -> bool:

@@ -397,12 +397,10 @@ def export_dot(lattice: ConceptLattice, labeling: str = "full") -> str:
     else:
         attr_home: dict[int, list[int]] = {}
         for m, column in enumerate(ctx._col_masks):
-            home = lattice._by_extent[column]
-            attr_home.setdefault(home.index, []).append(m)
+            attr_home.setdefault(lattice._extent_index[column], []).append(m)
         object_home: dict[int, list[int]] = {}
         for g, row in enumerate(ctx._row_masks):
-            home = lattice._by_extent[ctx._extent(row)]
-            object_home.setdefault(home.index, []).append(g)
+            object_home.setdefault(lattice._extent_index[ctx._extent(row)], []).append(g)
         for concept in lattice.concepts:
             attrs = _dot_escape(
                 ", ".join(ctx.attributes[m] for m in attr_home.get(concept.index, []))

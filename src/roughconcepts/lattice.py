@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from functools import cached_property
-from typing import Callable, Iterable, Iterator
+from typing import Callable, Iterable, Iterator, Sequence
 
 from ._record import Record
 from .context import AttributeSet, FormalContext, ObjectSet, _bits, _mask
@@ -46,14 +46,14 @@ class ConceptLattice:
             FormalConcept(frozenset(members), frozenset(_bits(i)), index, context)
             for index, (members, _, i) in enumerate(closed)
         )
-        # Keyed by extent mask; the keys keep canonical order.
-        self._by_extent = dict(zip([e for _, e, _ in closed], self.concepts))
+        self._extents = tuple(e for _, e, _ in closed)
         self._intents = tuple(i for _, _, i in closed)
+        self._extent_index = {e: index for index, e in enumerate(self._extents)}
 
     @cached_property
     def covers(self) -> tuple[tuple[int, int], ...]:
         """The Hasse diagram as sorted (lower, upper) index pairs."""
-        return tuple(_covering_pairs(list(self._by_extent)))
+        return tuple(_covering_pairs(self._extents))
 
     def __len__(self) -> int:
         return len(self.concepts)
@@ -78,7 +78,7 @@ class ConceptLattice:
             mask = _mask(self.context.check_object_set(extent))
         except InvalidSetError:
             raise KeyError(extent) from None
-        return self._by_extent[mask]
+        return self.concepts[self._extent_index[mask]]
 
     def require_member(self, concept: FormalConcept) -> FormalConcept:
         """The lattice's own instance of ``concept``.
@@ -134,7 +134,7 @@ def enumerate_concepts(
     return ConceptLattice(ctx, raw)
 
 
-def _covering_pairs(extents: list[int]) -> list[tuple[int, int]]:
+def _covering_pairs(extents: Sequence[int]) -> list[tuple[int, int]]:
     """Transitive reduction of extent inclusion, as (lower, upper) index pairs.
 
     ``extents`` is in canonical order, so every strict superset of
@@ -179,17 +179,16 @@ def concept_leq(first: FormalConcept, second: FormalConcept) -> bool:
 
 def lattice_meet(lat: ConceptLattice, concepts: Iterable[FormalConcept]) -> FormalConcept:
     """Greatest lower bound; the empty collection meets to the top."""
-    items = [lat.require_member(c) for c in concepts]
-    if not items:
-        return lat.top
-    # Extents are closed under intersection.
-    return lat._by_extent[_mask(frozenset.intersection(*(c.extent for c in items)))]
+    # The top's extent holds every object, and extents are closed under intersection.
+    extent = lat._extents[0]
+    for concept in concepts:
+        extent &= lat._extents[lat.require_member(concept).index]
+    return lat.concepts[lat._extent_index[extent]]
 
 
 def lattice_join(lat: ConceptLattice, concepts: Iterable[FormalConcept]) -> FormalConcept:
     """Least upper bound; the empty collection joins to the bottom."""
-    items = [lat.require_member(c) for c in concepts]
-    if not items:
-        return lat.bottom
-    shared = frozenset.intersection(*(c.intent for c in items))
-    return lat._by_extent[lat.context._extent(_mask(shared))]
+    intent = lat._intents[-1]  # the bottom's intent: every attribute
+    for concept in concepts:
+        intent &= lat._intents[lat.require_member(concept).index]
+    return lat.concepts[lat._extent_index[lat.context._extent(intent)]]

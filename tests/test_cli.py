@@ -87,12 +87,31 @@ def test_definable_via_embedded_partition(capsys):
     assert (code, out) == (0, "nw,lw,nc,mo,sk\n")
 
 
+def test_empty_partition_option_values_are_read(capsys):
+    # An empty attribute list puts every object in one block; it does not fall back
+    # to the embedded partition.
+    json_context = ("--context", str(DATA / "living.json"))
+    for names in ("", " , "):
+        code, out, _ = run(capsys, "definable", *json_context, "--partition-by", names)
+        assert (code, out) == (0, "nw\n")
+    code, out, err = run(capsys, "definable", *json_context, "--partition", "")
+    assert (code, out) == (EXIT_PARSE, "")
+    assert err.startswith("error: parse: cannot read input:") and err.count("\n") == 1
+
+
 def test_approx_matches_expected_matrix(capsys, living_space, living_upper):
     from roughconcepts import parse_context
 
     code, out, _ = run(capsys, "approx", *CONTEXT, *PARTITION, "--mode", "upper")
     assert code == 0
     assert parse_context(out, "cxt").context == living_upper
+
+
+@pytest.mark.parametrize("approx", [(), ("--approx", "base"), ("--approx", "lower")])
+def test_strict_upper_needs_approx_upper(capsys, approx):
+    code, out, err = run(capsys, "extent", *CONTEXT, *PARTITION, "--attrs", "lb", *approx, "--strict-upper")
+    assert (code, out) == (EXIT_USAGE, "")
+    assert err == "error: usage: argument --strict-upper: not allowed without --approx upper\n"
 
 
 def test_extent_free_vs_strict(capsys):
@@ -254,6 +273,26 @@ def test_oversized_csv_field_is_parse_error(capsys, tmp_path):
     assert err.startswith("error: parse:") and err.count("\n") == 1
 
 
+# Modes that compute nothing from the partition.
+PARTITION_UNUSED = [
+    ("rules", "--premise", "lb", "--conclusion", "ll"),
+    ("rules", "--premise", "lb", "--conclusion", "ll", "--measure"),
+    ("extent", "--attrs", "lb", "--approx", "base"),
+    ("export", "--dot", "--which", "base"),
+]
+
+
+@pytest.mark.parametrize("mode", PARTITION_UNUSED, ids=" ".join)
+def test_given_partition_is_read_by_every_mode(capsys, tmp_path, mode):
+    assert run(capsys, *mode, *CONTEXT)[0] == 0
+    missing = ("--partition", str(tmp_path / "missing.txt"))
+    code, out, err = run(capsys, *mode, *CONTEXT, *missing)
+    assert (code, out) == (EXIT_PARSE, "")
+    assert err.startswith("error: parse: cannot read input:") and err.count("\n") == 1
+    code, out, err = run(capsys, *mode, *CONTEXT, "--partition-by", "nope")
+    assert (code, out) == (EXIT_SEMANTIC, "")
+
+
 def test_partition_file_error_is_parse_error(capsys, tmp_path):
     part = tmp_path / "bad_partition.txt"
     part.write_text("Le, Br\n")
@@ -315,6 +354,9 @@ FILE_COMMANDS = (
     ("assignments",),
     ("rough-classes",),
     ("export", "--dot", "--which", "upper"),
+    ("rules", "--premise", "lb", "--conclusion", "ll", "--measure"),
+    ("extent", "--attrs", "lb", "--approx", "base"),
+    ("export", "--dot", "--which", "base"),
 )
 # Bytes that carry structure in one of the formats, besides any byte at all.
 SIGNIFICANT = st.sampled_from(list(b'X.,\n\r{}[]":#0 '))

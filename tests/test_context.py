@@ -66,11 +66,13 @@ def test_row_and_column_views_agree(living):
             assert living.has(g, m) == (m in living.rows[g])
 
 
-@pytest.mark.parametrize("index", [1.0, 0.5, None, -1, 9])
+@pytest.mark.parametrize("index", [1.0, 0.5, None, True, False, -1, 9])
 def test_scalar_index_must_be_an_int_in_range(living, living_space, index):
     lookups = (
         lambda: living.has(index, 0),
         lambda: living.has(0, index),
+        lambda: living.object_names({index}),
+        lambda: derive_extent(living, {index}),
         lambda: living_space.block_index_of(index),
         lambda: living_space.block_of(index),
         lambda: possibly_has(living_space, living, index, frozenset()),
@@ -79,6 +81,18 @@ def test_scalar_index_must_be_an_int_in_range(living, living_space, index):
     for lookup in lookups:
         with pytest.raises(InvalidSetError):
             lookup()
+
+
+def test_names_round_trip_index_sets_in_input_order(living):
+    assert living.object_names(living.object_set("Dg", "Le", "Fr")) == ("Le", "Fr", "Dg")
+    assert living.object_names(living.object_set(*reversed(living.objects))) == living.objects
+    assert living.attribute_names(living.attribute_set("sk", "nw", "lb")) == ("nw", "lb", "sk")
+    assert living.attribute_names(living.attribute_set(*living.attributes)) == living.attributes
+    assert living.object_names(frozenset()) == () == living.attribute_names(frozenset())
+    with pytest.raises(InvalidSetError):
+        living.object_names({len(living.objects)})
+    with pytest.raises(InvalidSetError):
+        living.attribute_names({0, len(living.attributes)})
 
 
 def test_bools_and_columns_constructors_match_parsed_context():
