@@ -44,6 +44,16 @@ class UsageError(Exception):
     pass
 
 
+# (error type, category, exit code), tried in order, so a subclass precedes its base.
+_FAILURES = (
+    (UsageError, "usage", EXIT_USAGE),
+    (ParseError, "parse", EXIT_PARSE),
+    (ConceptLimitError, "resource", EXIT_RESOURCE),
+    (RoughConceptsError, "semantic", EXIT_SEMANTIC),
+    (OSError, "parse: cannot read input", EXIT_PARSE),
+)
+
+
 class _Parser(argparse.ArgumentParser):
     def error(self, message: str):  # argparse default exits with 2; usage errors are 1 here
         raise UsageError(message)
@@ -133,9 +143,7 @@ def _load_document(args: argparse.Namespace) -> ContextDocument:
     path = Path(args.context)
     fmt = args.format or guess_format(path.name)
     if fmt is None:
-        raise UsageError(
-            f"cannot infer the format of {path.name!r}; pass --format cxt|csv|json"
-        )
+        raise UsageError(f"cannot infer the format of {path.name!r}; pass --format cxt|csv|json")
     return parse_context(path.read_bytes(), fmt)
 
 
@@ -156,6 +164,18 @@ def _require_space(space: ApproximationSpace | None) -> ApproximationSpace:
             "or a context file with an embedded partition"
         )
     return space
+
+
+def _approximated(
+    which: str, space: ApproximationSpace | None, ctx: FormalContext
+) -> FormalContext:
+    """The context itself (``base``), or its upper or lower approximation by the space."""
+    if which == "base":
+        return ctx
+    from .approx import lower_context, upper_context
+
+    approximate = upper_context if which == "upper" else lower_context
+    return approximate(_require_space(space), ctx)
 
 
 def _attr_list(raw: str) -> list[str]:
@@ -198,11 +218,7 @@ def _dispatch(args: argparse.Namespace) -> str:
     space = _load_space(args, doc)
 
     if command == "approx":
-        from .approx import lower_context, upper_context
-
-        space = _require_space(space)
-        approx = upper_context(space, ctx) if args.mode == "upper" else lower_context(space, ctx)
-        return render_context(ContextDocument(doc.format, approx))
+        return render_context(ContextDocument(doc.format, _approximated(args.mode, space, ctx)))
 
     if command == "definable":
         return ",".join(_names(ctx.attributes, definable_attributes(_require_space(space), ctx)))
@@ -214,38 +230,28 @@ def _dispatch(args: argparse.Namespace) -> str:
         else:
             from .approx import extent_lower, extent_upper_free, extent_upper_strict
 
-            space = _require_space(space)
-            if args.approx == "upper":
-                compute = extent_upper_strict if args.strict_upper else extent_upper_free
-                result = compute(space, ctx, attrs)
+            if args.approx == "lower":
+                compute = extent_lower
             else:
-                result = extent_lower(space, ctx, attrs)
+                compute = extent_upper_strict if args.strict_upper else extent_upper_free
+            result = compute(_require_space(space), ctx, attrs)
         return ",".join(_names(ctx.objects, result))
 
-    if command == "assignments":
+    if command in ("assignments", "rough-classes"):
         import json
 
         from .concepts import approximation_maps
-        from .report import _kernels_data
+        from .report import _kernels_data, _rough_classes_data
 
         maps = approximation_maps(_require_space(space), ctx, args.max_concepts)
-        return json.dumps(
-            {
-                "to_upper": list(maps.to_upper),
-                "to_lower": list(maps.to_lower),
-                "kernels": _kernels_data(maps),
-            },
-            indent=2,
-        )
-
-    if command == "rough-classes":
-        import json
-
-        from .concepts import approximation_maps
-        from .report import _rough_classes_data
-
-        maps = approximation_maps(_require_space(space), ctx, args.max_concepts)
-        return json.dumps(_rough_classes_data(maps), indent=2)
+        if command == "rough-classes":
+            return json.dumps(_rough_classes_data(maps), indent=2)
+        data = {
+            "to_upper": list(maps.to_upper),
+            "to_lower": list(maps.to_lower),
+            "kernels": _kernels_data(maps),
+        }
+        return json.dumps(data, indent=2)
 
     if command == "rules":
         from .rules import Implication, certain_rule, implication_holds, possible_rule, rough_measure
@@ -256,11 +262,12 @@ def _dispatch(args: argparse.Namespace) -> str:
                 return str(rough_measure(ctx, implication).value)
             except UndefinedMeasureError:
                 return "undefined"
-        if args.certain:
-            return "true" if certain_rule(_require_space(space), ctx, implication) else "false"
-        if args.possible:
-            return "true" if possible_rule(_require_space(space), ctx, implication) else "false"
-        return "true" if implication_holds(ctx, implication) else "false"
+        if args.certain or args.possible:
+            modal = certain_rule if args.certain else possible_rule
+            holds = modal(_require_space(space), ctx, implication)
+        else:
+            holds = implication_holds(ctx, implication)
+        return "true" if holds else "false"
 
     if command == "report":
         import json
@@ -272,13 +279,7 @@ def _dispatch(args: argparse.Namespace) -> str:
         return json.dumps(build_report(space, ctx, rules, args.max_concepts), indent=2)
 
     if command == "export":
-        if args.which == "base":
-            target = ctx
-        else:
-            from .approx import lower_context, upper_context
-
-            space = _require_space(space)
-            target = upper_context(space, ctx) if args.which == "upper" else lower_context(space, ctx)
+        target = _approximated(args.which, space, ctx)
         return export_dot(enumerate_concepts(target, args.max_concepts), args.labeling)
 
     raise UsageError(f"unknown command {command!r}")  # pragma: no cover
@@ -287,30 +288,15 @@ def _dispatch(args: argparse.Namespace) -> str:
 def run_cli(argv: list[str]) -> int:
     """Run one CLI invocation; returns the process exit status."""
     try:
-        args = _build_parser().parse_args(argv)
-    except UsageError as exc:
-        print(f"error: usage: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        output = _dispatch(_build_parser().parse_args(argv))
     except SystemExit as exc:  # --help
         return int(exc.code or 0)
-
-    try:
-        output = _dispatch(args)
-    except UsageError as exc:
-        print(f"error: usage: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except ParseError as exc:
-        print(f"error: parse: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-    except ConceptLimitError as exc:
-        print(f"error: resource: {exc}", file=sys.stderr)
-        return EXIT_RESOURCE
-    except RoughConceptsError as exc:
-        print(f"error: semantic: {exc}", file=sys.stderr)
-        return EXIT_SEMANTIC
-    except OSError as exc:
-        print(f"error: parse: cannot read input: {exc}", file=sys.stderr)
-        return EXIT_PARSE
+    except Exception as exc:
+        for kind, category, code in _FAILURES:
+            if isinstance(exc, kind):
+                print(f"error: {category}: {exc}", file=sys.stderr)
+                return code
+        raise
 
     sys.stdout.write(output if output.endswith("\n") else output + "\n")
     return EXIT_OK

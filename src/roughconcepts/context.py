@@ -64,7 +64,9 @@ def _uncovered_message(names: Sequence[str]) -> str:
 
 
 def _checked_index(i: int, size: int, kind: str) -> int:
-    if not isinstance(i, int) or isinstance(i, bool) or not 0 <= i < size:
+    if not isinstance(i, int) or isinstance(i, bool):
+        raise InvalidSetError(f"{kind} index {i!r} is not an int")
+    if not 0 <= i < size:
         raise InvalidSetError(f"{kind} index {i!r} out of range for universe of size {size}")
     return i
 
@@ -354,12 +356,9 @@ class ApproximationSpace(Record, _ObjectIndex):
         return out
 
     def _lower(self, objects: int) -> int:
-        """Union of the blocks inside the object mask."""
-        out = 0
-        for block in self._block_masks:
-            if not block & ~objects:
-                out |= block
-        return out
+        """Union of the blocks inside the mask: the complement of ``_upper`` of its complement."""
+        full = (1 << len(self.objects)) - 1
+        return full & ~self._upper(full & ~objects)
 
     def _blocks_meeting(self, objects: int) -> ObjectSet:
         """Frozenset union of the blocks meeting the mask (the mask's own set if definable)."""

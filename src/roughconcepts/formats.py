@@ -54,10 +54,21 @@ def guess_format(filename: str) -> str | None:
 def _text(data: str | bytes) -> str:
     if isinstance(data, bytes):
         try:
-            data = data.decode("utf-8")
+            data = data.decode("utf-8-sig")
         except UnicodeDecodeError as exc:
             raise ParseError(f"input is not valid UTF-8: {exc}") from None
     return data.replace("\r\n", "\n").replace("\r", "\n")
+
+
+def _checked_name(raw: str, seen: set[str], kind: str, line: int, column: int | None = None) -> str:
+    """The stripped name, new to ``seen``; an empty or repeated one fails at its position."""
+    name = raw.strip()
+    if not name:
+        raise ParseError(f"empty {kind} name", line=line, column=column)
+    if name in seen:
+        raise ParseError(f"duplicate {kind} name {name!r}", line=line, column=column)
+    seen.add(name)
+    return name
 
 
 def parse_context(data: str | bytes, format: str) -> ContextDocument:
@@ -110,17 +121,11 @@ def _parse_cxt(text: str) -> FormalContext:
         raise ParseError("expected blank line after counts", line=5)
 
     def names(start: int, n: int, kind: str) -> list[str]:
-        out: list[str] = []
         seen: set[str] = set()
-        for k in range(n):
-            name = take(start + k, f"{kind} name").strip()
-            if not name:
-                raise ParseError(f"empty {kind} name", line=start + k + 1)
-            if name in seen:
-                raise ParseError(f"duplicate {kind} name {name!r}", line=start + k + 1)
-            seen.add(name)
-            out.append(name)
-        return out
+        return [
+            _checked_name(take(k, f"{kind} name"), seen, kind, k + 1)
+            for k in range(start, start + n)
+        ]
 
     objects = names(5, n_objects, "object")
     attributes = names(5 + n_objects, n_attributes, "attribute")
@@ -180,16 +185,10 @@ def _parse_csv(text: str) -> FormalContext:
     if not table or not table[0]:
         raise ParseError("missing header row", line=1)
     header = table[0]
-    attributes: list[str] = []
     seen: set[str] = set()
-    for j, cell in enumerate(header[1:], start=2):
-        name = cell.strip()
-        if not name:
-            raise ParseError("empty attribute name in header", line=1, column=j)
-        if name in seen:
-            raise ParseError(f"duplicate attribute name {name!r}", line=1, column=j)
-        seen.add(name)
-        attributes.append(name)
+    attributes = [
+        _checked_name(cell, seen, "attribute", 1, j) for j, cell in enumerate(header[1:], start=2)
+    ]
 
     objects: list[str] = []
     rows: list[set[int]] = []
@@ -201,12 +200,7 @@ def _parse_csv(text: str) -> FormalContext:
             raise ParseError(
                 f"row has {len(record)} cells, expected {len(header)}", line=i
             )
-        name = record[0].strip()
-        if not name:
-            raise ParseError("empty object name", line=i, column=1)
-        if name in seen_objects:
-            raise ParseError(f"duplicate object name {name!r}", line=i, column=1)
-        seen_objects.add(name)
+        name = _checked_name(record[0], seen_objects, "object", i, 1)
         row: set[int] = set()
         for j, cell in enumerate(record[1:], start=2):
             mark = cell.strip()

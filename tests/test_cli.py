@@ -227,6 +227,12 @@ def test_semantic_errors(capsys):
     assert code == 3 and out == ""
 
 
+def test_report_rule_without_arrow_is_usage_error(capsys):
+    code, out, err = run(capsys, "report", *CONTEXT, *PARTITION, "--rule", "lb")
+    assert (code, out) == (EXIT_USAGE, "")
+    assert err == "error: usage: rule 'lb' must look like premise=>conclusion\n"
+
+
 def test_resource_cap(capsys):
     code, out, err = run(capsys, "lattice", *CONTEXT, "--max-concepts", "3")
     assert code == 4 and out == "" and err.startswith("error: resource:")

@@ -15,6 +15,7 @@ from roughconcepts import (
     InvalidSetError,
     PartitionError,
     UniverseMismatchError,
+    UnknownNameError,
     certainly_has,
     definable_attributes,
     derive_extent,
@@ -78,8 +79,9 @@ def test_scalar_index_must_be_an_int_in_range(living, living_space, index):
         lambda: possibly_has(living_space, living, index, frozenset()),
         lambda: certainly_has(living_space, living, index, frozenset()),
     )
+    fault = "out of range" if type(index) is int else "is not an int"
     for lookup in lookups:
-        with pytest.raises(InvalidSetError):
+        with pytest.raises(InvalidSetError, match=fault):
             lookup()
 
 
@@ -113,6 +115,47 @@ def test_duplicate_names_rejected():
         FormalContext(("a", "a"), ("m",), (frozenset(), frozenset()))
     with pytest.raises(DuplicateNameError):
         FormalContext(("a",), ("m", "m"), (frozenset(),))
+
+
+CONSTRUCTOR_ERRORS = [
+    (
+        lambda: FormalContext(("a", "b"), ("m",), (frozenset(),)),
+        InvalidSetError,
+        "expected 2 incidence rows, got 1",
+    ),
+    (
+        lambda: FormalContext.from_columns(("a",), ("m", "n"), [{0}]),
+        InvalidSetError,
+        "expected 2 columns, got 1",
+    ),
+    (
+        lambda: FormalContext.from_pairs(("a",), ("m",), [("a", "z")]),
+        UnknownNameError,
+        "unknown attribute 'z'",
+    ),
+    (
+        lambda: ApproximationSpace.from_names(("a", "b"), [["a"], ["c"]]),
+        UnknownNameError,
+        "unknown object 'c'",
+    ),
+    (
+        lambda: FormalContext(("a", ""), (), (frozenset(), frozenset())),
+        InvalidSetError,
+        "object names must be nonempty strings, got ''",
+    ),
+    (
+        lambda: FormalContext(("a",), ("m", 7), (frozenset(),)),
+        InvalidSetError,
+        "attribute names must be nonempty strings, got 7",
+    ),
+]
+
+
+@pytest.mark.parametrize("build, error, message", CONSTRUCTOR_ERRORS)
+def test_constructor_error_messages(build, error, message):
+    with pytest.raises(error) as info:
+        build()
+    assert str(info.value) == message
 
 
 def test_empty_context_is_legal():

@@ -115,6 +115,70 @@ def test_json_errors():
         parse_context('{"objects": ["a", "a"], "attributes": []}', "json")
 
 
+# Each raise site in the parsers, by message and position (line, column).
+PARSE_ERRORS = [
+    ("cxt", "B\n\n2\n1\n\na", "unexpected end of file, expected object name", 6, None),
+    ("cxt", "B\n\n2\n1\n\na\n\n", "empty object name", 7, None),
+    ("cxt", "B\n\n2\n1\n\na\na\n", "duplicate object name 'a'", 7, None),
+    ("csv", "\n", "missing header row", 1, None),
+    ("csv", ",a\n ,X\n", "empty object name", 2, 1),
+    ("csv", ",a, \n", "empty attribute name", 1, 3),
+    ("json", "[]", "top level must be a JSON object", None, None),
+    ("json", '{"objects": "a", "attributes": []}', "'objects' must be an array of strings", None, None),
+    (
+        "json",
+        '{"objects": ["a"], "attributes": [], "incidence": {}}',
+        "'incidence' must be an array of [object, attribute] pairs",
+        None,
+        None,
+    ),
+    (
+        "json",
+        '{"objects": ["a"], "attributes": ["m"], "incidence": [["a"]]}',
+        "incidence[0] must be an [object, attribute] name pair",
+        None,
+        None,
+    ),
+    (
+        "json",
+        '{"objects": ["a"], "attributes": [], "partition": [["a", 1]]}',
+        "'partition' must be an array of arrays of object names",
+        None,
+        None,
+    ),
+    ("partition", "Le, Br\n,\n", "empty block", 2, None),
+    ("partition", "{Le, Br", "unclosed '{' in block list", 1, None),
+    ("partition", "x {Le}", "unexpected text outside braces", 1, None),
+    ("partition", "{Le} x", "unexpected text outside braces", 1, None),
+]
+
+
+@pytest.mark.parametrize(
+    "fmt, text, message, line, column", PARSE_ERRORS, ids=[f"{row[0]}-{row[2]}" for row in PARSE_ERRORS]
+)
+def test_parse_error_message_and_position(living, fmt, text, message, line, column):
+    with pytest.raises(ParseError) as info:
+        if fmt == "partition":
+            parse_partition(text, living.objects)
+        else:
+            parse_context(text, fmt)
+    where = "" if line is None else f" (line {line}" + ("" if column is None else f", column {column}") + ")"
+    assert str(info.value) == message + where
+    assert (info.value.line, info.value.column) == (line, column)
+
+
+@pytest.mark.parametrize(
+    "fmt, name",
+    [("cxt", "living.cxt"), ("csv", "living.csv"), ("json", "living.json"), ("partition", "living_partition.txt")],
+)
+def test_utf8_byte_order_mark_is_ignored(living, fmt, name):
+    data = (DATA / name).read_bytes()
+    if fmt == "partition":
+        assert parse_partition(b"\xef\xbb\xbf" + data, living.objects) == parse_partition(data, living.objects)
+    else:
+        assert parse_context(b"\xef\xbb\xbf" + data, fmt) == parse_context(data, fmt)
+
+
 def test_document_invariants(living, living_space):
     with pytest.raises(ValueError):
         ContextDocument("csv", living, living_space)
