@@ -241,17 +241,12 @@ def _dispatch(args: argparse.Namespace) -> str:
         import json
 
         from .concepts import approximation_maps
-        from .report import _kernels_data, _rough_classes_data
+        from .report import _kernels_data, _maps_data, _rough_classes_data
 
         maps = approximation_maps(_require_space(space), ctx, args.max_concepts)
         if command == "rough-classes":
             return json.dumps(_rough_classes_data(maps), indent=2)
-        data = {
-            "to_upper": list(maps.to_upper),
-            "to_lower": list(maps.to_lower),
-            "kernels": _kernels_data(maps),
-        }
-        return json.dumps(data, indent=2)
+        return json.dumps({**_maps_data(maps), "kernels": _kernels_data(maps)}, indent=2)
 
     if command == "rules":
         from .rules import Implication, certain_rule, implication_holds, possible_rule, rough_measure

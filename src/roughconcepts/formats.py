@@ -54,10 +54,10 @@ def guess_format(filename: str) -> str | None:
 def _text(data: str | bytes) -> str:
     if isinstance(data, bytes):
         try:
-            data = data.decode("utf-8-sig")
+            data = data.decode("utf-8")
         except UnicodeDecodeError as exc:
             raise ParseError(f"input is not valid UTF-8: {exc}") from None
-    return data.replace("\r\n", "\n").replace("\r", "\n")
+    return data.removeprefix("\ufeff").replace("\r\n", "\n").replace("\r", "\n")
 
 
 def _checked_name(raw: str, seen: set[str], kind: str, line: int, column: int | None = None) -> str:
@@ -266,24 +266,21 @@ def _parse_json(text: str) -> tuple[FormalContext, ApproximationSpace | None]:
         ):
             raise ParseError(f"incidence[{k}] must be an [object, attribute] name pair")
         pairs.append((entry[0], entry[1]))
+    raw_partition = data.get("partition")
     try:
         context = FormalContext.from_pairs(objects, attributes, pairs)
-    except RoughConceptsError as exc:
-        raise ParseError(str(exc)) from None
-
-    partition = None
-    raw_partition = data.get("partition")
-    if raw_partition is not None:
+        if raw_partition is None:
+            return context, None
         if not isinstance(raw_partition, list) or not all(
             isinstance(block, list) and all(isinstance(x, str) for x in block)
             for block in raw_partition
         ):
             raise ParseError("'partition' must be an array of arrays of object names")
-        try:
-            partition = ApproximationSpace.from_names(objects, raw_partition)
-        except RoughConceptsError as exc:
-            raise ParseError(str(exc)) from None
-    return context, partition
+        return context, ApproximationSpace.from_names(objects, raw_partition)
+    except ParseError:
+        raise
+    except RoughConceptsError as exc:  # a name or partition fault in the document
+        raise ParseError(str(exc)) from None
 
 
 def _context_data(ctx: FormalContext) -> dict:

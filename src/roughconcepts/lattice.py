@@ -33,22 +33,27 @@ class ConceptLattice:
 
     Canonical order is descending extent size with ties broken by the
     sorted extent index tuple; the top concept is always first and the
-    bottom always last.  ``covers`` lists (lower, upper) index pairs, the
-    transitive reduction of the extent-inclusion order; it is computed on
-    its first read, since only the Hasse diagram needs it.  Instances are
-    immutable once built; use :func:`enumerate_concepts` to build one.
+    bottom always last.  A concept is stored only as its extent and
+    intent masks, from which every analysis computes; ``concepts`` and
+    ``covers`` (the transitive reduction of extent inclusion, as
+    (lower, upper) index pairs) are built on their first read.
+    Instances are immutable once built; use :func:`enumerate_concepts`
+    to build one.
     """
 
-    def __init__(self, context: FormalContext, closed: list[tuple[tuple[int, ...], int, int]]):
-        """``closed`` holds (extent members, extent mask, intent mask) in canonical order."""
+    def __init__(self, context: FormalContext, closed: list[tuple[int, int]]):
+        """``closed`` holds (extent mask, intent mask) pairs in canonical order."""
         self.context = context
-        self.concepts: tuple[FormalConcept, ...] = tuple(
-            FormalConcept(frozenset(members), frozenset(_bits(i)), index, context)
-            for index, (members, _, i) in enumerate(closed)
-        )
-        self._extents = tuple(e for _, e, _ in closed)
-        self._intents = tuple(i for _, _, i in closed)
+        self._extents, self._intents = zip(*closed)
         self._extent_index = {e: index for index, e in enumerate(self._extents)}
+
+    @cached_property
+    def concepts(self) -> tuple[FormalConcept, ...]:
+        """Every concept as a :class:`FormalConcept`, by canonical index."""
+        return tuple(
+            FormalConcept(frozenset(_bits(e)), frozenset(_bits(i)), index, self.context)
+            for index, (e, i) in enumerate(zip(self._extents, self._intents))
+        )
 
     @cached_property
     def covers(self) -> tuple[tuple[int, int], ...]:
@@ -56,7 +61,7 @@ class ConceptLattice:
         return tuple(_covering_pairs(self._extents))
 
     def __len__(self) -> int:
-        return len(self.concepts)
+        return len(self._extents)
 
     def __iter__(self) -> Iterator[FormalConcept]:
         return iter(self.concepts)
@@ -128,10 +133,11 @@ def enumerate_concepts(
             )
         current = _next_closed(current, n_attributes, close)
 
-    # Each extent's members are listed once: the sort key and the frozenset share them.
-    raw = [(tuple(_bits(e)), e, i) for e, i in zip(map(ctx._extent, intents), intents)]
-    raw.sort(key=lambda t: (-len(t[0]), t[0]))
-    return ConceptLattice(ctx, raw)
+    n = len(ctx.objects)
+    closed = [(ctx._extent(i), i) for i in intents]
+    # Among equal sizes the lowest member of e ^ f decides, as between sorted member tuples.
+    closed.sort(key=lambda c: (-c[0].bit_count(), -int(f"{c[0]:0{n}b}"[::-1], 2)))
+    return ConceptLattice(ctx, closed)
 
 
 def _covering_pairs(extents: Sequence[int]) -> list[tuple[int, int]]:

@@ -54,6 +54,10 @@ def _rule_dict(
     }
 
 
+def _maps_data(maps: ConceptApproximationMaps) -> dict:
+    return {"to_upper": list(maps.to_upper), "to_lower": list(maps.to_lower)}
+
+
 def _kernels_data(maps: ConceptApproximationMaps) -> dict:
     possibility, necessity = indiscernibility_kernels(maps)
     return {
@@ -95,7 +99,7 @@ def build_report(
             "upper": _lattice_dict(maps.upper),
             "lower": _lattice_dict(maps.lower),
         },
-        "maps": {"to_upper": list(maps.to_upper), "to_lower": list(maps.to_lower)},
+        "maps": _maps_data(maps),
         "kernels": _kernels_data(maps),
         "rough_classes": _rough_classes_data(maps),
         "rules": [_rule_dict(space, ctx, implication) for implication in rules],

@@ -146,6 +146,14 @@ PARSE_ERRORS = [
         None,
         None,
     ),
+    (
+        "json",
+        '{"objects": ["a"], "attributes": [], "incidence": [["a", "m"]], "partition": [["a", 1]]}',
+        "unknown attribute 'm'",
+        None,
+        None,
+    ),
+    ("json", '{"objects": ["a"], "attributes": [], "partition": [["b"]]}', "unknown object 'b'", None, None),
     ("partition", "Le, Br\n,\n", "empty block", 2, None),
     ("partition", "{Le, Br", "unclosed '{' in block list", 1, None),
     ("partition", "x {Le}", "unexpected text outside braces", 1, None),
@@ -173,10 +181,11 @@ def test_parse_error_message_and_position(living, fmt, text, message, line, colu
 )
 def test_utf8_byte_order_mark_is_ignored(living, fmt, name):
     data = (DATA / name).read_bytes()
-    if fmt == "partition":
-        assert parse_partition(b"\xef\xbb\xbf" + data, living.objects) == parse_partition(data, living.objects)
-    else:
-        assert parse_context(b"\xef\xbb\xbf" + data, fmt) == parse_context(data, fmt)
+    for marked in (b"\xef\xbb\xbf" + data, "\ufeff" + data.decode()):
+        if fmt == "partition":
+            assert parse_partition(marked, living.objects) == parse_partition(data, living.objects)
+        else:
+            assert parse_context(marked, fmt) == parse_context(data, fmt)
 
 
 def test_document_invariants(living, living_space):

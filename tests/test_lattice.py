@@ -239,11 +239,17 @@ def test_covers_equal_extent_reduction(ctx):
     assert lat.covers == tuple(sorted(brute_force_covers(lat)))
 
 
+def canonical_key(extent):
+    """Canonical order: larger extents first, then by the sorted member tuple."""
+    return -len(extent), tuple(sorted(extent))
+
+
 @given(contexts())
 def test_canonical_order_puts_supersets_first(ctx):
     # The cover reduction looks for the strict supersets of extent i only among j < i.
     extents = [c.extent for c in enumerate_concepts(ctx)]
     assert not any(e < later for i, e in enumerate(extents) for later in extents[i + 1 :])
+    assert extents == sorted(extents, key=canonical_key)
 
 
 def coarse_case(seed: int, n: int = 30, m: int = 16, k: int = 10):
@@ -268,6 +274,8 @@ def test_covers_on_coarse_approximation_lattices():
         for approx in (ctx, upper_context(space, ctx), lower_context(space, ctx)):
             lat = enumerate_concepts(approx)
             assert lat.covers == tuple(sorted(brute_force_covers(lat)))
+            extents = [c.extent for c in lat]
+            assert extents == sorted(extents, key=canonical_key)
             sizes.append(len(lat))
     assert max(sizes) >= 200 and sum(sizes) >= 2000
 
@@ -275,6 +283,8 @@ def test_covers_on_coarse_approximation_lattices():
 def test_covers_built_once_and_only_when_read(living, living_space):
     maps = approximation_maps(living_space, living)
     indiscernibility_kernels(maps)
+    lattices = (maps.base, maps.upper, maps.lower)
+    assert all("concepts" not in vars(lat) for lat in lattices)
     rough_concept_classes(maps)
     for c in maps.base:
         up = concept_upper_approx(maps, c)
@@ -286,8 +296,8 @@ def test_covers_built_once_and_only_when_read(living, living_space):
         concept_leq(c, maps.base.top)
         lattice_meet(maps.base, [c, maps.base.bottom])
         lattice_join(maps.base, [c, maps.base.top])
-    lattices = (maps.base, maps.upper, maps.lower)
     assert all("covers" not in vars(lat) for lat in lattices)
     for lat in lattices:
+        assert lat.concepts is lat.concepts
         covers = lat.covers
         assert lat.covers is covers and vars(lat)["covers"] is covers
