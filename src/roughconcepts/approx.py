@@ -14,7 +14,6 @@ from .context import (
     ApproximationSpace,
     FormalContext,
     ObjectSet,
-    _bits,
     _checked_index,
     _mask,
     require_same_universe,
@@ -29,8 +28,9 @@ def _approx_context(
     space: ApproximationSpace, ctx: FormalContext, approx: Callable[[int], int]
 ) -> FormalContext:
     require_same_universe(space, ctx)
-    columns = [_bits(approx(column)) for column in ctx._col_masks]
-    return FormalContext.from_columns(ctx.objects, ctx.attributes, columns)
+    columns = [approx(column) for column in ctx._col_masks]
+    table = [[column >> g & 1 for column in columns] for g in range(len(ctx.objects))]
+    return FormalContext.from_bools(ctx.objects, ctx.attributes, table)
 
 
 def upper_context(space: ApproximationSpace, ctx: FormalContext) -> FormalContext:

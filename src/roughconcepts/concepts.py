@@ -81,7 +81,7 @@ def concept_upper_approx(
 ) -> FormalConcept:
     """Image of a base concept in the upper approximation lattice."""
     maps.base.require_member(concept)
-    return maps.upper.concepts[maps.to_upper[concept.index]]
+    return maps.upper[maps.to_upper[concept.index]]
 
 
 def concept_lower_approx(
@@ -89,7 +89,7 @@ def concept_lower_approx(
 ) -> FormalConcept:
     """Image of a base concept in the lower approximation lattice."""
     maps.base.require_member(concept)
-    return maps.lower.concepts[maps.to_lower[concept.index]]
+    return maps.lower[maps.to_lower[concept.index]]
 
 
 def lower_join(maps: ConceptApproximationMaps, concept: FormalConcept) -> FormalConcept:
@@ -110,7 +110,7 @@ def lower_join(maps: ConceptApproximationMaps, concept: FormalConcept) -> Formal
         closure = ctx._extent(ctx._row_masks[g])
         if not closure & ~upper:
             union |= closure
-    return maps.base.concepts[maps.base._extent_index[ctx._extent(ctx._intent(union))]]
+    return maps.base[maps.base._extent_index[ctx._extent(ctx._intent(union))]]
 
 
 def upper_meet(maps: ConceptApproximationMaps, concept: FormalConcept) -> FormalConcept:
@@ -124,7 +124,7 @@ def upper_meet(maps: ConceptApproximationMaps, concept: FormalConcept) -> Formal
     """
     lower = maps.lower._extents[maps.lower.require_member(concept).index]
     ctx = maps.base.context
-    return maps.base.concepts[maps.base._extent_index[ctx._extent(ctx._intent(lower))]]
+    return maps.base[maps.base._extent_index[ctx._extent(ctx._intent(lower))]]
 
 
 def concept_order(
@@ -159,8 +159,8 @@ def rough_concept_classes(maps: ConceptApproximationMaps) -> tuple[RoughConceptC
     return tuple(
         RoughConceptClass(
             tuple(members),
-            maps.upper.concepts[maps.to_upper[members[0]]],
-            maps.lower.concepts[maps.to_lower[members[0]]],
+            maps.upper[maps.to_upper[members[0]]],
+            maps.lower[maps.to_lower[members[0]]],
         )
         for members in sorted(groups.values())
     )

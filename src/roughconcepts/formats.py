@@ -111,9 +111,12 @@ def _parse_cxt(text: str) -> FormalContext:
 
     def count(position: int, what: str) -> int:
         raw = take(position, f"{what} count").strip()
-        if not raw.isdigit():
-            raise ParseError(f"missing or invalid {what} count", line=position + 1)
-        return int(raw)
+        try:
+            if raw.isdigit():
+                return int(raw)
+        except ValueError:  # a digit int() rejects, such as '²', or too many digits
+            pass
+        raise ParseError(f"missing or invalid {what} count", line=position + 1)
 
     n_objects = count(2, "object")
     n_attributes = count(3, "attribute")
@@ -246,6 +249,8 @@ def _parse_json(text: str) -> tuple[FormalContext, ApproximationSpace | None]:
         raise ParseError(f"invalid JSON: {exc.msg}", line=exc.lineno, column=exc.colno) from None
     except RecursionError:
         raise ParseError("invalid JSON: nested too deeply") from None
+    except ValueError:  # the one other fault json.loads raises: an integer of too many digits
+        raise ParseError("invalid JSON: integer has too many digits") from None
     if not isinstance(data, dict):
         raise ParseError("top level must be a JSON object")
     unknown = set(data) - {"objects", "attributes", "incidence", "partition"}
@@ -379,34 +384,26 @@ def export_dot(lattice: ConceptLattice, labeling: str = "full") -> str:
     if labeling not in ("full", "reduced"):
         raise ValueError(f"unknown labeling {labeling!r}")
     ctx = lattice.context
-    labels: dict[int, str] = {}
+    labels: list[str] = []
     if labeling == "full":
         for concept in lattice.concepts:
             intent = _dot_escape(", ".join(_names(ctx.attributes, concept.intent)))
             extent = _dot_escape(", ".join(_names(ctx.objects, concept.extent)))
-            labels[concept.index] = f"{{{intent}}}\\n{{{extent}}}"
+            labels.append(f"{{{intent}}}\\n{{{extent}}}")
     else:
-        attr_home: dict[int, list[int]] = {}
+        attr_home: list[list[str]] = [[] for _ in range(len(lattice))]
         for m, column in enumerate(ctx._col_masks):
-            attr_home.setdefault(lattice._extent_index[column], []).append(m)
-        object_home: dict[int, list[int]] = {}
+            attr_home[lattice._extent_index[column]].append(ctx.attributes[m])
+        object_home: list[list[str]] = [[] for _ in range(len(lattice))]
         for g, row in enumerate(ctx._row_masks):
-            object_home.setdefault(lattice._extent_index[ctx._extent(row)], []).append(g)
-        for concept in lattice.concepts:
-            attrs = _dot_escape(
-                ", ".join(ctx.attributes[m] for m in attr_home.get(concept.index, []))
-            )
-            objs = _dot_escape(
-                ", ".join(ctx.objects[g] for g in object_home.get(concept.index, []))
-            )
-            if attrs and objs:
-                labels[concept.index] = f"{attrs}\\n{objs}"
-            else:
-                labels[concept.index] = attrs or objs
+            object_home[lattice._extent_index[ctx._extent(row)]].append(ctx.objects[g])
+        for attr_names, object_names in zip(attr_home, object_home):
+            attrs = _dot_escape(", ".join(attr_names))
+            objs = _dot_escape(", ".join(object_names))
+            labels.append(f"{attrs}\\n{objs}" if attrs and objs else attrs or objs)
 
     lines = ["digraph concept_lattice {", "  rankdir=BT;", "  node [shape=box];"]
-    for concept in lattice.concepts:
-        lines.append(f'  c{concept.index} [label="{labels[concept.index]}"];')
+    lines.extend(f'  c{k} [label="{label}"];' for k, label in enumerate(labels))
     for low, high in lattice.covers:
         lines.append(f"  c{low} -> c{high};")
     lines.append("}")

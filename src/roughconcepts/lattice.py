@@ -34,9 +34,10 @@ class ConceptLattice:
     Canonical order is descending extent size with ties broken by the
     sorted extent index tuple; the top concept is always first and the
     bottom always last.  A concept is stored only as its extent and
-    intent masks, from which every analysis computes; ``concepts`` and
-    ``covers`` (the transitive reduction of extent inclusion, as
-    (lower, upper) index pairs) are built on their first read.
+    intent masks, from which every analysis computes.  ``lat[i]`` builds
+    concept i's :class:`FormalConcept` record on its first read; the tuple
+    ``concepts`` of those records and ``covers`` (the transitive reduction
+    of extent inclusion, as (lower, upper) index pairs) are built on theirs.
     Instances are immutable once built; use :func:`enumerate_concepts`
     to build one.
     """
@@ -46,14 +47,12 @@ class ConceptLattice:
         self.context = context
         self._extents, self._intents = zip(*closed)
         self._extent_index = {e: index for index, e in enumerate(self._extents)}
+        self._built: list[FormalConcept | None] = [None] * len(self._extents)
 
     @cached_property
     def concepts(self) -> tuple[FormalConcept, ...]:
         """Every concept as a :class:`FormalConcept`, by canonical index."""
-        return tuple(
-            FormalConcept(frozenset(_bits(e)), frozenset(_bits(i)), index, self.context)
-            for index, (e, i) in enumerate(zip(self._extents, self._intents))
-        )
+        return tuple(map(self.__getitem__, range(len(self))))
 
     @cached_property
     def covers(self) -> tuple[tuple[int, int], ...]:
@@ -67,15 +66,27 @@ class ConceptLattice:
         return iter(self.concepts)
 
     def __getitem__(self, index: int) -> FormalConcept:
-        return self.concepts[index]
+        concept = self._built[index]
+        if isinstance(concept, FormalConcept):
+            return concept
+        if isinstance(index, slice):
+            return self.concepts[index]
+        index = range(len(self))[index]
+        concept = self._built[index] = FormalConcept(
+            frozenset(_bits(self._extents[index])),
+            frozenset(_bits(self._intents[index])),
+            index,
+            self.context,
+        )
+        return concept
 
     @property
     def top(self) -> FormalConcept:
-        return self.concepts[0]
+        return self[0]
 
     @property
     def bottom(self) -> FormalConcept:
-        return self.concepts[-1]
+        return self[-1]
 
     def concept_with_extent(self, extent: Iterable[int]) -> FormalConcept:
         """The unique concept with this extent; KeyError if the set is not closed."""
@@ -83,7 +94,7 @@ class ConceptLattice:
             mask = _mask(self.context.check_object_set(extent))
         except InvalidSetError:
             raise KeyError(extent) from None
-        return self.concepts[self._extent_index[mask]]
+        return self[self._extent_index[mask]]
 
     def require_member(self, concept: FormalConcept) -> FormalConcept:
         """The lattice's own instance of ``concept``.
@@ -91,8 +102,10 @@ class ConceptLattice:
         Membership is structural, so concepts from a separately built but
         equal lattice are accepted.
         """
-        if 0 <= concept.index < len(self.concepts) and self.concepts[concept.index] == concept:
-            return self.concepts[concept.index]
+        if 0 <= concept.index < len(self):
+            own = self[concept.index]
+            if own == concept:
+                return own
         raise LatticeMismatchError("concept does not belong to this lattice")
 
 
@@ -189,7 +202,7 @@ def lattice_meet(lat: ConceptLattice, concepts: Iterable[FormalConcept]) -> Form
     extent = lat._extents[0]
     for concept in concepts:
         extent &= lat._extents[lat.require_member(concept).index]
-    return lat.concepts[lat._extent_index[extent]]
+    return lat[lat._extent_index[extent]]
 
 
 def lattice_join(lat: ConceptLattice, concepts: Iterable[FormalConcept]) -> FormalConcept:
@@ -197,4 +210,4 @@ def lattice_join(lat: ConceptLattice, concepts: Iterable[FormalConcept]) -> Form
     intent = lat._intents[-1]  # the bottom's intent: every attribute
     for concept in concepts:
         intent &= lat._intents[lat.require_member(concept).index]
-    return lat.concepts[lat._extent_index[lat.context._extent(intent)]]
+    return lat[lat._extent_index[lat.context._extent(intent)]]

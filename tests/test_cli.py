@@ -10,7 +10,7 @@ from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from roughconcepts.cli import EXIT_PARSE, EXIT_RESOURCE, EXIT_SEMANTIC, EXIT_USAGE, run_cli
 
@@ -388,6 +388,10 @@ def mutated_fixture(draw):
 
 @settings(max_examples=300, deadline=None)
 @given(mutated_fixture(), st.sampled_from(FILE_COMMANDS))
+# Numbers that int() rejects although str.isdigit() accepts them, or that exceed its digit limit.
+@example(("living.cxt", "B\n\n\u00b2\n1\n\na\nm\nX\n".encode()), ("lattice",))
+@example(("living.cxt", b"B\n\n1\n" + b"9" * 4301 + b"\n\na\nm\nX\n"), ("lattice",))
+@example(("living.json", b'{"objects": [' + b"1" * 4301 + b"]}"), ("lattice",))
 def test_contract_holds_on_mutated_fixtures(fixture, command):
     """Exit 0 with nothing on stderr, or one ``error:`` line with its exit code and no stdout."""
     name, data = fixture

@@ -57,6 +57,18 @@ def test_json_round_trip_preserves_partition(living):
     assert parse_context(render_context(doc), "json") == doc
 
 
+def test_json_keeps_names_as_written():
+    doc = parse_context('{"objects": [" a"], "attributes": ["m "], "incidence": [[" a", "m "]]}', "json")
+    assert (doc.context.objects, doc.context.attributes) == ((" a",), ("m ",))
+    # .cxt and CSV strip names, so such a name does not survive rendering to them.
+    for fmt in ("cxt", "csv"):
+        rendered = render_context(ContextDocument(fmt, doc.context))
+        assert parse_context(rendered, fmt).context.objects == ("a",)
+    with pytest.raises(ParseError) as info:
+        parse_context('{"objects": [""], "attributes": []}', "json")
+    assert (info.value.line, info.value.column) == (None, None)
+
+
 def test_empty_csv_header_only():
     doc = parse_context(",a,b,c\n", "csv")
     assert doc.context.objects == ()
@@ -154,6 +166,9 @@ PARSE_ERRORS = [
         None,
     ),
     ("json", '{"objects": ["a"], "attributes": [], "partition": [["b"]]}', "unknown object 'b'", None, None),
+    ("cxt", "B\n\n\u00b2\n1\n\na\nm\nX\n", "missing or invalid object count", 3, None),
+    ("cxt", "B\n\n1\n" + "9" * 4301 + "\n\na\nm\nX\n", "missing or invalid attribute count", 4, None),
+    ("json", '{"objects": [' + "1" * 4301 + "]}", "invalid JSON: integer has too many digits", None, None),
     ("partition", "Le, Br\n,\n", "empty block", 2, None),
     ("partition", "{Le, Br", "unclosed '{' in block list", 1, None),
     ("partition", "x {Le}", "unexpected text outside braces", 1, None),

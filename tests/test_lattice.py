@@ -23,6 +23,7 @@ from roughconcepts import (
     derive_extent,
     derive_intent,
     enumerate_concepts,
+    export_dot,
     indiscernibility_kernels,
     lattice_join,
     lattice_meet,
@@ -286,7 +287,8 @@ def test_covers_built_once_and_only_when_read(living, living_space):
     lattices = (maps.base, maps.upper, maps.lower)
     assert all("concepts" not in vars(lat) for lat in lattices)
     rough_concept_classes(maps)
-    for c in maps.base:
+    for i in range(len(maps.base)):
+        c = maps.base[i]
         up = concept_upper_approx(maps, c)
         low = concept_lower_approx(maps, c)
         lower_join(maps, up)
@@ -298,6 +300,22 @@ def test_covers_built_once_and_only_when_read(living, living_space):
         lattice_join(maps.base, [c, maps.base.top])
     assert all("covers" not in vars(lat) for lat in lattices)
     for lat in lattices:
+        export_dot(lat, "reduced")
+    assert all("concepts" not in vars(lat) for lat in lattices)
+    for lat in lattices:
         assert lat.concepts is lat.concepts
+        assert all(lat[i] is c for i, c in enumerate(lat.concepts))
         covers = lat.covers
         assert lat.covers is covers and vars(lat)["covers"] is covers
+
+
+def test_lattice_indexes_like_its_concept_tuple(living):
+    lat = enumerate_concepts(living)
+    for built in (False, True):
+        assert ("concepts" in vars(lat)) is built
+        assert lat[-1] is lat.bottom and lat[-1].index == len(lat) - 1
+        assert lat[-len(lat)] is lat.top
+        for outside in (len(lat), -len(lat) - 1):
+            with pytest.raises(IndexError):
+                lat[outside]
+        assert lat[1:3] == lat.concepts[1:3]
