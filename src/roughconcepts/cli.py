@@ -52,6 +52,7 @@ _FAILURES = (
     (RoughConceptsError, "semantic", EXIT_SEMANTIC),
     (OSError, "parse: cannot read input", EXIT_PARSE),
 )
+_MAX_MESSAGE = 500  # characters; a failure message may echo hostile input of any size
 
 
 class _Parser(argparse.ArgumentParser):
@@ -183,12 +184,10 @@ def _attr_list(raw: str) -> list[str]:
 
 
 def _format_lattice(lat: ConceptLattice) -> str:
-    ctx = lat.context
     lines = [f"concepts {len(lat)}"]
-    for concept in lat.concepts:
-        extent = ",".join(_names(ctx.objects, concept.extent))
-        intent = ",".join(_names(ctx.attributes, concept.intent))
-        lines.append(f"{concept.index} extent={{{extent}}} intent={{{intent}}}")
+    for k in range(len(lat)):
+        extent, intent = map(",".join, lat._named(k))
+        lines.append(f"{k} extent={{{extent}}} intent={{{intent}}}")
     lines.append(f"covers {len(lat.covers)}")
     for low, high in lat.covers:
         lines.append(f"{low} -> {high}")
@@ -289,7 +288,10 @@ def run_cli(argv: list[str]) -> int:
     except Exception as exc:
         for kind, category, code in _FAILURES:
             if isinstance(exc, kind):
-                print(f"error: {category}: {exc}", file=sys.stderr)
+                message = str(exc).replace("\n", "\\n").replace("\r", "\\r")
+                cut = len(message) - _MAX_MESSAGE
+                tail = f"... [{cut} more characters]" if cut > 0 else ""
+                print(f"error: {category}: {message[:_MAX_MESSAGE]}{tail}", file=sys.stderr)
                 return code
         raise
 

@@ -386,9 +386,8 @@ def export_dot(lattice: ConceptLattice, labeling: str = "full") -> str:
     ctx = lattice.context
     labels: list[str] = []
     if labeling == "full":
-        for concept in lattice.concepts:
-            intent = _dot_escape(", ".join(_names(ctx.attributes, concept.intent)))
-            extent = _dot_escape(", ".join(_names(ctx.objects, concept.extent)))
+        for k in range(len(lattice)):
+            extent, intent = (_dot_escape(", ".join(names)) for names in lattice._named(k))
             labels.append(f"{{{intent}}}\\n{{{extent}}}")
     else:
         attr_home: list[list[str]] = [[] for _ in range(len(lattice))]

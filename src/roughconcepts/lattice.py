@@ -2,11 +2,12 @@
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from functools import cached_property
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Callable, Iterable
 
 from ._record import Record
-from .context import AttributeSet, FormalContext, ObjectSet, _bits, _mask
+from .context import AttributeSet, FormalContext, ObjectSet, _bits, _mask, _names
 from .errors import ConceptLimitError, InvalidSetError, LatticeMismatchError
 
 DEFAULT_MAX_CONCEPTS = 100_000
@@ -28,18 +29,18 @@ class FormalConcept(Record, hidden=("context",)):
     context: FormalContext | None = None
 
 
-class ConceptLattice:
+class ConceptLattice(Sequence):
     """All concepts of a context, in canonical order, and their Hasse covers.
 
     Canonical order is descending extent size with ties broken by the
     sorted extent index tuple; the top concept is always first and the
     bottom always last.  A concept is stored only as its extent and
-    intent masks, from which every analysis computes.  ``lat[i]`` builds
-    concept i's :class:`FormalConcept` record on its first read; the tuple
-    ``concepts`` of those records and ``covers`` (the transitive reduction
-    of extent inclusion, as (lower, upper) index pairs) are built on theirs.
-    Instances are immutable once built; use :func:`enumerate_concepts`
-    to build one.
+    intent masks, from which every analysis and renderer computes.  The
+    lattice is the read-only sequence of its concepts; ``lat[i]`` builds
+    concept i's :class:`FormalConcept` record on its first read, and
+    ``covers`` (the transitive reduction of extent inclusion, as (lower,
+    upper) index pairs) is built when first read.  Instances are immutable
+    once built; use :func:`enumerate_concepts` to build one.
     """
 
     def __init__(self, context: FormalContext, closed: list[tuple[int, int]]):
@@ -49,10 +50,10 @@ class ConceptLattice:
         self._extent_index = {e: index for index, e in enumerate(self._extents)}
         self._built: list[FormalConcept | None] = [None] * len(self._extents)
 
-    @cached_property
-    def concepts(self) -> tuple[FormalConcept, ...]:
-        """Every concept as a :class:`FormalConcept`, by canonical index."""
-        return tuple(map(self.__getitem__, range(len(self))))
+    @property
+    def concepts(self) -> ConceptLattice:
+        """The lattice itself, the read-only sequence of its concepts."""
+        return self
 
     @cached_property
     def covers(self) -> tuple[tuple[int, int], ...]:
@@ -62,15 +63,12 @@ class ConceptLattice:
     def __len__(self) -> int:
         return len(self._extents)
 
-    def __iter__(self) -> Iterator[FormalConcept]:
-        return iter(self.concepts)
-
     def __getitem__(self, index: int) -> FormalConcept:
         concept = self._built[index]
         if isinstance(concept, FormalConcept):
             return concept
         if isinstance(index, slice):
-            return self.concepts[index]
+            return tuple(map(self.__getitem__, range(len(self))[index]))
         index = range(len(self))[index]
         concept = self._built[index] = FormalConcept(
             frozenset(_bits(self._extents[index])),
@@ -79,6 +77,11 @@ class ConceptLattice:
             self.context,
         )
         return concept
+
+    def _named(self, index: int) -> tuple[tuple[str, ...], tuple[str, ...]]:
+        """Concept ``index``'s object and attribute names, in input order, from its masks."""
+        extent, intent = _bits(self._extents[index]), _bits(self._intents[index])
+        return _names(self.context.objects, extent), _names(self.context.attributes, intent)
 
     @property
     def top(self) -> FormalConcept:
@@ -99,9 +102,11 @@ class ConceptLattice:
     def require_member(self, concept: FormalConcept) -> FormalConcept:
         """The lattice's own instance of ``concept``.
 
-        Membership is structural, so concepts from a separately built but
-        equal lattice are accepted.
+        Membership is structural: a concept of a separately built lattice
+        is accepted when its context and its record equal this lattice's.
         """
+        if concept.context is not self.context:
+            _require_same_context(concept.context, self.context)
         if 0 <= concept.index < len(self):
             own = self[concept.index]
             if own == concept:
@@ -183,16 +188,17 @@ def covering_relation(lat: ConceptLattice) -> list[tuple[int, int]]:
     return list(lat.covers)
 
 
-def _require_same_lattice(first: FormalConcept, second: FormalConcept) -> None:
-    if first.context is None or second.context is None:
+def _require_same_context(first: FormalContext | None, second: FormalContext | None) -> None:
+    """Concepts share a lattice when their contexts are one object, or else equal."""
+    if first is None or second is None:
         raise LatticeMismatchError("concept does not belong to a lattice")
-    if first.context is not second.context and first.context != second.context:
+    if first is not second and first != second:
         raise LatticeMismatchError("concepts come from different lattices")
 
 
 def concept_leq(first: FormalConcept, second: FormalConcept) -> bool:
     """Generalization order: ``first <= second`` iff its extent is contained."""
-    _require_same_lattice(first, second)
+    _require_same_context(first.context, second.context)
     return first.extent <= second.extent
 
 

@@ -18,18 +18,11 @@ from .rules import Implication, certain_rule, implication_holds, possible_rule, 
 
 
 def _lattice_dict(lat: ConceptLattice) -> dict:
-    ctx = lat.context
-    return {
-        "concepts": [
-            {
-                "index": concept.index,
-                "extent": list(_names(ctx.objects, concept.extent)),
-                "intent": list(_names(ctx.attributes, concept.intent)),
-            }
-            for concept in lat.concepts
-        ],
-        "covers": [[low, high] for low, high in lat.covers],
-    }
+    concepts = []
+    for k in range(len(lat)):
+        extent, intent = lat._named(k)
+        concepts.append({"index": k, "extent": list(extent), "intent": list(intent)})
+    return {"concepts": concepts, "covers": [[low, high] for low, high in lat.covers]}
 
 
 def _rule_dict(

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import io
 import json
+import operator
 import re
 import tempfile
 from contextlib import redirect_stderr, redirect_stdout
@@ -12,7 +13,14 @@ from pathlib import Path
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from roughconcepts.cli import EXIT_PARSE, EXIT_RESOURCE, EXIT_SEMANTIC, EXIT_USAGE, run_cli
+from roughconcepts.cli import (
+    _MAX_MESSAGE,
+    EXIT_PARSE,
+    EXIT_RESOURCE,
+    EXIT_SEMANTIC,
+    EXIT_USAGE,
+    run_cli,
+)
 
 DATA = Path(__file__).parent / "data"
 CONTEXT = ["--context", str(DATA / "living.cxt")]
@@ -335,6 +343,18 @@ def test_repeated_object_in_a_block_error_is_one_line(capsys, tmp_path):
     assert err == "error: parse: object 'o0' listed twice within a block\n"
 
 
+def test_failure_line_is_escaped_and_cut(capsys):
+    nines = "9" * 5000
+    code, out, err = run(capsys, "lattice", *CONTEXT, "--max-concepts", nines)
+    message = f"argument --max-concepts: invalid int value: '{nines}'"
+    cut = len(message) - _MAX_MESSAGE
+    assert (code, out) == (EXIT_USAGE, "")
+    assert err == f"error: usage: {message[:_MAX_MESSAGE]}... [{cut} more characters]\n"
+    code, out, err = run(capsys, "lattice", *CONTEXT, "--bo\r\ngus")
+    assert (code, out) == (EXIT_USAGE, "")
+    assert err == "error: usage: unrecognized arguments: --bo\\r\\ngus\n"
+
+
 def test_help_exits_zero(capsys):
     code, out, _ = run(capsys, "--help")
     assert code == 0
@@ -414,3 +434,46 @@ def test_contract_holds_on_mutated_fixtures(fixture, command):
     line = re.fullmatch(r"error: (\w+): [^\n]+\n", err.getvalue())
     assert line is not None, err.getvalue()
     assert EXIT_CODES.get(line[1]) == code, (code, err.getvalue())
+
+
+# Any text a process argument can carry (no NUL), short or up to about 6,000 characters.
+ARGUMENT_CHARS = st.characters(exclude_characters="\x00")
+ARGUMENT = st.one_of(
+    st.text(ARGUMENT_CHARS),
+    st.builds(operator.mul, st.text(ARGUMENT_CHARS, min_size=1, max_size=3), st.integers(1, 2000)),
+)
+LIVING = str(DATA / "living.cxt")
+
+
+@st.composite
+def mutated_argv(draw):
+    """A valid command line with one argument replaced by, or followed by, arbitrary text."""
+    command = draw(st.sampled_from(sorted(COMMAND_ARGS)))
+    argv = [command, *CONTEXT, *COMMAND_ARGS[command]]
+    at = draw(st.integers(0, len(argv)))
+    argv[at : at + 1] = [draw(ARGUMENT)]
+    return argv
+
+
+@settings(max_examples=100, deadline=None)
+@given(mutated_argv())
+@example(["lattice", "--context", LIVING, "--max-concepts", "9" * 5000])
+@example(["lattice", "--context", LIVING, "--format", "a" * 5000])
+@example(["extent", "--context", LIVING, "--attrs", "a" * 5000])
+@example(["lattice", "--context", "a" * 5000 + ".cxt"])
+@example(["lattice", "--context", LIVING, "--bogus" + "a" * 5000])
+@example(["lattice", "--context", LIVING, "--bo\ngus"])
+def test_contract_holds_on_mutated_arguments(argv):
+    """Exit 0 with nothing on stderr, or one bounded ``error:`` line with its exit code."""
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = run_cli(argv)
+    if code == 0:
+        assert err.getvalue() == ""
+        return
+    assert out.getvalue() == ""
+    line = re.fullmatch(r"error: (\w+): [^\n]+\n", err.getvalue())
+    assert line is not None, err.getvalue()
+    assert EXIT_CODES.get(line[1]) == code, (code, err.getvalue())
+    # The category and the count of characters cut add well under 80 characters.
+    assert len(line[0]) < _MAX_MESSAGE + 80

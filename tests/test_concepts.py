@@ -87,6 +87,22 @@ def test_images_reject_foreign_concepts(living, living_maps):
         lower_join(living_maps, living_maps.base.top)
 
 
+def test_membership_needs_the_lattice_context():
+    """A concept of another lattice is refused even when its record matches."""
+    ctx = FormalContext(("a", "b", "c"), ("p", "q"), ({0}, {0, 1}, {0}))
+    space = ApproximationSpace(ctx.objects, (frozenset({0, 1}), frozenset({2})))
+    maps = approximation_maps(space, ctx)
+    assert maps.upper.top == maps.base.top and maps.upper.context != ctx
+    with pytest.raises(LatticeMismatchError):
+        concept_upper_approx(maps, maps.upper.top)
+    with pytest.raises(LatticeMismatchError):
+        lattice_meet(maps.base, [maps.upper.top])
+    with pytest.raises(LatticeMismatchError):
+        concept_leq(maps.upper.top, maps.base.top)
+    with pytest.raises(LatticeMismatchError):
+        lower_join(maps, maps.base.top)
+
+
 def test_dropped_maps_are_freed_by_reference_counting(living, living_space):
     """Concepts hold their lattice's context, not the lattice: no cycle keeps a result alive."""
     enabled = gc.isenabled()

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import collections.abc
 import itertools
 import random
 
@@ -33,6 +34,8 @@ from roughconcepts import (
     upper_context,
     upper_meet,
 )
+from roughconcepts.cli import _format_lattice
+from roughconcepts.report import _lattice_dict
 
 from conftest import aset, contexts, oset, random_context
 
@@ -285,7 +288,7 @@ def test_covers_built_once_and_only_when_read(living, living_space):
     maps = approximation_maps(living_space, living)
     indiscernibility_kernels(maps)
     lattices = (maps.base, maps.upper, maps.lower)
-    assert all("concepts" not in vars(lat) for lat in lattices)
+    assert all(c is None for lat in lattices for c in lat._built)
     rough_concept_classes(maps)
     for i in range(len(maps.base)):
         c = maps.base[i]
@@ -300,22 +303,32 @@ def test_covers_built_once_and_only_when_read(living, living_space):
         lattice_join(maps.base, [c, maps.base.top])
     assert all("covers" not in vars(lat) for lat in lattices)
     for lat in lattices:
-        export_dot(lat, "reduced")
-    assert all("concepts" not in vars(lat) for lat in lattices)
-    for lat in lattices:
-        assert lat.concepts is lat.concepts
-        assert all(lat[i] is c for i, c in enumerate(lat.concepts))
         covers = lat.covers
         assert lat.covers is covers and vars(lat)["covers"] is covers
+    # The renderers name every concept from its masks, building no record.
+    for ctx in (living, maps.upper.context, maps.lower.context):
+        lat = enumerate_concepts(ctx)
+        _format_lattice(lat)
+        _lattice_dict(lat)
+        export_dot(lat, "full")
+        export_dot(lat, "reduced")
+        assert all(c is None for c in lat._built)
 
 
 def test_lattice_indexes_like_its_concept_tuple(living):
     lat = enumerate_concepts(living)
-    for built in (False, True):
-        assert ("concepts" in vars(lat)) is built
+    for read_all in (False, True):
+        if read_all:
+            concepts = list(lat)
+            assert len(concepts) == len(lat)
+            assert all(concepts[i] is lat[i] for i in range(len(lat)))
+        assert isinstance(lat, collections.abc.Sequence)
+        assert lat.concepts is lat and "concepts" not in vars(lat)
+        assert lat[1:3] == (lat[1], lat[2]) and lat[1:3][0] is lat[1]
+        assert lat[::-1] == tuple(reversed(lat))
         assert lat[-1] is lat.bottom and lat[-1].index == len(lat) - 1
         assert lat[-len(lat)] is lat.top
         for outside in (len(lat), -len(lat) - 1):
             with pytest.raises(IndexError):
                 lat[outside]
-        assert lat[1:3] == lat.concepts[1:3]
+        assert lat[3] in lat and lat.index(lat[3]) == 3 and lat.count(lat[3]) == 1
