@@ -29,8 +29,8 @@ def _approx_context(
 ) -> FormalContext:
     require_same_universe(space, ctx)
     columns = [approx(column) for column in ctx._col_masks]
-    table = [[column >> g & 1 for column in columns] for g in range(len(ctx.objects))]
-    return FormalContext.from_bools(ctx.objects, ctx.attributes, table)
+    rows = [[m for m, c in enumerate(columns) if c >> g & 1] for g in range(len(ctx.objects))]
+    return FormalContext(ctx.objects, ctx.attributes, rows)
 
 
 def upper_context(space: ApproximationSpace, ctx: FormalContext) -> FormalContext:

@@ -90,7 +90,7 @@ def _build_parser() -> _Parser:
         "--max-concepts",
         type=_non_negative_int,
         default=DEFAULT_MAX_CONCEPTS,
-        help="abort enumeration beyond this many concepts",
+        help="exit with code 4 when any one lattice has more than this many concepts",
     )
 
     parser = _Parser(prog="roughconcepts", description="Concept lattices with rough approximation.")
@@ -140,18 +140,25 @@ def _build_parser() -> _Parser:
     return parser
 
 
+def _read(path: Path) -> bytes:
+    try:
+        return path.read_bytes()
+    except ValueError as exc:  # a NUL in the path: input that cannot be read, not a bug
+        raise OSError(exc) from None
+
+
 def _load_document(args: argparse.Namespace) -> ContextDocument:
     path = Path(args.context)
     fmt = args.format or guess_format(path.name)
     if fmt is None:
         raise UsageError(f"cannot infer the format of {path.name!r}; pass --format cxt|csv|json")
-    return parse_context(path.read_bytes(), fmt)
+    return parse_context(_read(path), fmt)
 
 
 def _load_space(args: argparse.Namespace, doc: ContextDocument) -> ApproximationSpace | None:
     ctx = doc.context
     if args.partition is not None:
-        return parse_partition(Path(args.partition).read_bytes(), ctx.objects)
+        return parse_partition(_read(Path(args.partition)), ctx.objects)
     if args.partition_by is not None:
         names = _attr_list(args.partition_by)
         return ApproximationSpace.from_attribute_classes(ctx, ctx.attribute_set(*names))

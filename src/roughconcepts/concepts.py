@@ -153,21 +153,19 @@ def rough_concept_classes(maps: ConceptApproximationMaps) -> tuple[RoughConceptC
     This is the common refinement of the two kernels; classes are listed
     by their smallest member index.
     """
-    groups: dict[tuple[int, int], list[int]] = {}
-    for i in range(len(maps.base)):
-        groups.setdefault((maps.to_upper[i], maps.to_lower[i]), []).append(i)
     return tuple(
         RoughConceptClass(
-            tuple(members),
+            members,
             maps.upper[maps.to_upper[members[0]]],
             maps.lower[maps.to_lower[members[0]]],
         )
-        for members in sorted(groups.values())
+        for members in sorted(_fibers(tuple(zip(maps.to_upper, maps.to_lower))))
     )
 
 
-def _fibers(assignment: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
-    groups: dict[int, list[int]] = {}
+def _fibers(assignment: tuple[int | tuple[int, int], ...]) -> tuple[tuple[int, ...], ...]:
+    """The indices grouped by their image, in ascending order of image."""
+    groups: dict[int | tuple[int, int], list[int]] = {}
     for i, target in enumerate(assignment):
         groups.setdefault(target, []).append(i)
     return tuple(tuple(groups[t]) for t in sorted(groups))

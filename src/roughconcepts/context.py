@@ -103,9 +103,10 @@ class _ObjectIndex:
 class FormalContext(Record, _ObjectIndex):
     """A binary incidence table between named objects and attributes.
 
-    ``rows[g]`` holds the attribute indices object ``g`` has; the column
-    view (per-attribute extents) is derived from the rows, so the two
-    views can never disagree.  Instances are immutable and hashable.
+    ``rows[g]`` holds the attribute indices object ``g`` has; the rows are
+    the one way the incidence enters, the column masks are the row masks
+    transposed and ``columns`` views them, so no two views can disagree.
+    Instances are immutable and hashable.
     """
 
     objects: tuple[str, ...]
@@ -147,39 +148,6 @@ class FormalContext(Record, _ObjectIndex):
             rows[obj_index[obj]].add(attr_index[attr])
         return cls(objects, attributes, tuple(frozenset(r) for r in rows))
 
-    @classmethod
-    def from_bools(
-        cls,
-        objects: Sequence[str],
-        attributes: Sequence[str],
-        table: Sequence[Sequence[object]],
-    ) -> "FormalContext":
-        """Build a context from a row-major table of truthy marks."""
-        rows = tuple(
-            frozenset(m for m, cell in enumerate(row) if cell) for row in table
-        )
-        return cls(tuple(objects), tuple(attributes), rows)
-
-    @classmethod
-    def from_columns(
-        cls,
-        objects: Sequence[str],
-        attributes: Sequence[str],
-        columns: Sequence[Iterable[int]],
-    ) -> "FormalContext":
-        """Build a context from per-attribute extents."""
-        objects = tuple(objects)
-        attributes = tuple(attributes)
-        if len(columns) != len(attributes):
-            raise InvalidSetError(
-                f"expected {len(attributes)} columns, got {len(columns)}"
-            )
-        rows: list[set[int]] = [set() for _ in objects]
-        for m, column in enumerate(columns):
-            for g in _checked_indices(column, len(objects), "object"):
-                rows[g].add(m)
-        return cls(objects, attributes, tuple(frozenset(r) for r in rows))
-
     # -- name/index helpers --------------------------------------------------
 
     @cached_property
@@ -207,12 +175,8 @@ class FormalContext(Record, _ObjectIndex):
 
     @cached_property
     def columns(self) -> tuple[ObjectSet, ...]:
-        """Per-attribute extents, derived from the rows."""
-        cols: list[set[int]] = [set() for _ in self.attributes]
-        for g, row in enumerate(self.rows):
-            for m in row:
-                cols[m].add(g)
-        return tuple(frozenset(c) for c in cols)
+        """Per-attribute extents, a view of the column masks."""
+        return tuple(frozenset(_bits(column)) for column in self._col_masks)
 
     @cached_property
     def _row_masks(self) -> tuple[int, ...]:
@@ -220,7 +184,11 @@ class FormalContext(Record, _ObjectIndex):
 
     @cached_property
     def _col_masks(self) -> tuple[int, ...]:
-        return tuple(_mask(column) for column in self.columns)
+        cols = [0] * len(self.attributes)
+        for g, row in enumerate(self._row_masks):
+            for m in _bits(row):
+                cols[m] |= 1 << g
+        return tuple(cols)
 
     def _extent(self, attributes: int) -> int:
         """Mask of the objects having every attribute in the mask."""

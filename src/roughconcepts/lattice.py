@@ -39,8 +39,10 @@ class ConceptLattice(Sequence):
     lattice is the read-only sequence of its concepts; ``lat[i]`` builds
     concept i's :class:`FormalConcept` record on its first read, and
     ``covers`` (the transitive reduction of extent inclusion, as (lower,
-    upper) index pairs) is built when first read.  Instances are immutable
-    once built; use :func:`enumerate_concepts` to build one.
+    upper) index pairs) is built when first read.  ``in``, ``index`` and
+    ``count`` answer by :meth:`require_member`, the one membership rule,
+    so they build at most the one record they compare.  Instances are
+    immutable once built; use :func:`enumerate_concepts` to build one.
     """
 
     def __init__(self, context: FormalContext, closed: list[tuple[int, int]]):
@@ -112,6 +114,25 @@ class ConceptLattice(Sequence):
             if own == concept:
                 return own
         raise LatticeMismatchError("concept does not belong to this lattice")
+
+    def _position(self, value: object) -> int:
+        """The index :meth:`require_member` accepts ``value`` at, or -1 if it refuses it."""
+        try:
+            return self.require_member(value).index if isinstance(value, FormalConcept) else -1
+        except LatticeMismatchError:
+            return -1
+
+    def __contains__(self, value: object) -> bool:
+        return self._position(value) >= 0
+
+    def count(self, value: object) -> int:
+        return int(value in self)
+
+    def index(self, value: object, start: int = 0, stop: int | None = None) -> int:
+        position = self._position(value)
+        if position not in range(len(self))[start:stop]:
+            raise ValueError("concept is not in this lattice")
+        return position
 
 
 def _next_closed(attrs: int, width: int, close: Callable[[int], int]) -> int | None:

@@ -246,6 +246,16 @@ def test_resource_cap(capsys):
     assert code == 4 and out == "" and err.startswith("error: resource:")
 
 
+def test_nul_in_a_path_is_unreadable_input(capsys):
+    for argv in (
+        ["lattice", "--context", "a\x00.cxt"],
+        ["definable", *CONTEXT, "--partition", "a\x00"],
+    ):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (EXIT_PARSE, "")
+        assert err == "error: parse: cannot read input: embedded null byte\n"
+
+
 def test_max_concepts_must_not_be_negative(capsys):
     code, out, err = run(capsys, "lattice", *CONTEXT, "--max-concepts", "-1")
     assert (code, out) == (1, "")
@@ -436,8 +446,8 @@ def test_contract_holds_on_mutated_fixtures(fixture, command):
     assert EXIT_CODES.get(line[1]) == code, (code, err.getvalue())
 
 
-# Any text a process argument can carry (no NUL), short or up to about 6,000 characters.
-ARGUMENT_CHARS = st.characters(exclude_characters="\x00")
+# Any text, NUL included (run_cli runs in process), short or up to about 6,000 characters.
+ARGUMENT_CHARS = st.characters()
 ARGUMENT = st.one_of(
     st.text(ARGUMENT_CHARS),
     st.builds(operator.mul, st.text(ARGUMENT_CHARS, min_size=1, max_size=3), st.integers(1, 2000)),
@@ -463,6 +473,8 @@ def mutated_argv(draw):
 @example(["lattice", "--context", "a" * 5000 + ".cxt"])
 @example(["lattice", "--context", LIVING, "--bogus" + "a" * 5000])
 @example(["lattice", "--context", LIVING, "--bo\ngus"])
+@example(["lattice", "--context", "a\x00.cxt"])
+@example(["definable", "--context", LIVING, "--partition", "a\x00"])
 def test_contract_holds_on_mutated_arguments(argv):
     """Exit 0 with nothing on stderr, or one bounded ``error:`` line with its exit code."""
     out, err = io.StringIO(), io.StringIO()

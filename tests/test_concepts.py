@@ -103,6 +103,21 @@ def test_membership_needs_the_lattice_context():
         lower_join(maps, maps.base.top)
 
 
+def test_in_index_and_count_follow_the_membership_rule():
+    """``in``, ``index`` and ``count`` refuse exactly what ``require_member`` refuses."""
+    ctx = FormalContext(("a", "b", "c"), ("p", "q"), ({0}, {0, 1}, {0}))
+    space = ApproximationSpace(ctx.objects, (frozenset({0, 1}), frozenset({2})))
+    maps = approximation_maps(space, ctx)
+    assert maps.upper.top not in maps.base
+    assert maps.base.count(maps.upper.top) == 0
+    with pytest.raises(ValueError):
+        maps.base.index(maps.upper.top)
+    assert 5 not in maps.base and maps.base.count(5) == 0
+    twin = enumerate_concepts(FormalContext(ctx.objects, ctx.attributes, ctx.rows))
+    assert twin.top in maps.base and maps.base.index(twin.top) == 0
+    assert maps.base.count(twin.top) == 1
+
+
 def test_dropped_maps_are_freed_by_reference_counting(living, living_space):
     """Concepts hold their lattice's context, not the lattice: no cycle keeps a result alive."""
     enabled = gc.isenabled()

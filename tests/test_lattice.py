@@ -332,3 +332,17 @@ def test_lattice_indexes_like_its_concept_tuple(living):
             with pytest.raises(IndexError):
                 lat[outside]
         assert lat[3] in lat and lat.index(lat[3]) == 3 and lat.count(lat[3]) == 1
+        assert lat.index(lat[3], 2, 4) == 3 and lat.index(lat[3], -len(lat)) == 3
+        for start, stop in ((4, None), (0, 3), (-2, None)):
+            with pytest.raises(ValueError):
+                lat.index(lat[3], start, stop)
+
+
+def test_membership_builds_at_most_one_record(living):
+    lat = enumerate_concepts(living)
+    assert lat[-1] in lat
+    assert sum(c is not None for c in lat._built) == 1
+    other = enumerate_concepts(living)
+    assert lat[-1] in other and other.count(lat[-1]) == 1
+    assert other.index(lat[-1]) == len(lat) - 1
+    assert sum(c is not None for c in other._built) == 1
