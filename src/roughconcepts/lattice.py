@@ -4,13 +4,14 @@ from __future__ import annotations
 
 from collections.abc import Sequence
 from functools import cached_property
-from typing import Callable, Iterable
+from typing import Iterable
 
 from ._record import Record
 from .context import AttributeSet, FormalContext, ObjectSet, _bits, _mask, _names
 from .errors import ConceptLimitError, InvalidSetError, LatticeMismatchError
 
 DEFAULT_MAX_CONCEPTS = 100_000
+_REVERSED = bytes(int(f"{b:08b}"[::-1], 2) for b in range(256))  # byte b, bits reversed
 
 
 class FormalConcept(Record, hidden=("context",)):
@@ -106,10 +107,11 @@ class ConceptLattice(Sequence):
 
         Membership is structural: a concept of a separately built lattice
         is accepted when its context and its record equal this lattice's.
+        A record whose index is not a plain ``int`` is refused.
         """
         if concept.context is not self.context:
             _require_same_context(concept.context, self.context)
-        if 0 <= concept.index < len(self):
+        if type(concept.index) is int and 0 <= concept.index < len(self):
             own = self[concept.index]
             if own == concept:
                 return own
@@ -135,47 +137,44 @@ class ConceptLattice(Sequence):
         return position
 
 
-def _next_closed(attrs: int, width: int, close: Callable[[int], int]) -> int | None:
-    """Lectically next closed attribute set after ``attrs``, or None at the end."""
-    for i in range(width - 1, -1, -1):
-        bit = 1 << i
-        if attrs & bit:
-            attrs &= ~bit
-        else:
-            candidate = close(attrs | bit)
-            if not candidate & (bit - 1) & ~attrs:
-                return candidate
-    return None
-
-
 def enumerate_concepts(
     ctx: FormalContext, max_concepts: int = DEFAULT_MAX_CONCEPTS
 ) -> ConceptLattice:
-    """All formal concepts of ``ctx`` as a :class:`ConceptLattice`.
+    """All formal concepts of ``ctx`` as a :class:`ConceptLattice`, in canonical order.
 
-    Closed attribute sets are generated in lectic order (NextClosure), so
-    every concept appears exactly once without keeping a seen-set.  Work
-    happens on integer bitmasks; the public concepts carry frozensets.
+    Close-by-One (Kuznetsov & Obiedkov 2002) on column masks, depth first on a stack:
+    concept (A, B) hands A ∩ j' down to its child for attribute j, and a child whose
+    intent gains an attribute below j outside B is dropped, so each concept is found once.
     """
-    n_attributes = len(ctx.attributes)
-
-    def close(attrs: int) -> int:
-        return ctx._intent(ctx._extent(attrs))
-
-    intents: list[int] = []
-    current: int | None = close(0)
-    while current is not None:
-        intents.append(current)
-        if len(intents) > max_concepts:
-            raise ConceptLimitError(
-                f"more than {max_concepts} concepts; raise the limit to proceed"
-            )
-        current = _next_closed(current, n_attributes, close)
-
-    n = len(ctx.objects)
-    closed = [(ctx._extent(i), i) for i in intents]
-    # Among equal sizes the lowest member of e ^ f decides, as between sorted member tuples.
-    closed.sort(key=lambda c: (-c[0].bit_count(), -int(f"{c[0]:0{n}b}"[::-1], 2)))
+    columns = ctx._col_masks
+    attributes = [(m, 1 << m, ~c) for m, c in enumerate(columns)]  # (m, bit, objects lacking m)
+    extent = (1 << len(ctx.objects)) - 1
+    closed: list[tuple[int, int]] = []
+    stack = [(extent, ctx._intent(extent), 0)]
+    while stack:
+        extent, intent, start = stack.pop()
+        closed.append((extent, intent))
+        if len(closed) > max_concepts:
+            raise ConceptLimitError(f"more than {max_concepts} concepts; raise the limit to proceed")
+        outside = [a for a in attributes if not intent & a[1]]
+        for j, _, _ in outside:
+            if j < start:
+                continue
+            child, grown = extent & columns[j], intent
+            for m, bit, lacking in outside:
+                if not child & lacking:
+                    if m < j:
+                        break
+                    grown |= bit
+            else:
+                stack.append((child, grown, j + 1))
+    # Among equal sizes the lowest member of e ^ f decides, as between sorted member tuples;
+    # with each byte's bits reversed and read big-endian, that member is the highest bit.
+    size = (len(ctx.objects) + 7) // 8
+    closed.sort(key=lambda c: (
+        -c[0].bit_count(),
+        -int.from_bytes(c[0].to_bytes(size, "little").translate(_REVERSED), "big"),
+    ))
     return ConceptLattice(ctx, closed)
 
 

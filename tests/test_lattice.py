@@ -5,6 +5,7 @@ from __future__ import annotations
 import collections.abc
 import itertools
 import random
+import time
 
 import pytest
 from hypothesis import given
@@ -119,6 +120,46 @@ def test_attribute_and_object_concepts_present(living):
 def test_concept_cap(living):
     with pytest.raises(ConceptLimitError):
         enumerate_concepts(living, max_concepts=3)
+
+
+def brute_force_concepts(ctx: FormalContext) -> list[tuple[frozenset, frozenset]]:
+    """Every closed (extent, intent) pair from all 2^|G| object sets, in canonical order."""
+    found = set()
+    for objects in itertools.product((False, True), repeat=len(ctx.objects)):
+        intent = derive_intent(ctx, [g for g, kept in enumerate(objects) if kept])
+        found.add((derive_extent(ctx, intent), intent))
+    return sorted(found, key=lambda c: (-len(c[0]), sorted(c[0])))
+
+
+def test_enumeration_matches_brute_force_on_every_context_up_to_3x3():
+    n_contexts = 0
+    for n_objects, n_attributes in itertools.product(range(4), repeat=2):
+        objects = tuple(f"g{g}" for g in range(n_objects))
+        attributes = tuple(f"m{m}" for m in range(n_attributes))
+        rows = [frozenset(r) for r in itertools.chain.from_iterable(
+            itertools.combinations(range(n_attributes), k) for k in range(n_attributes + 1))]
+        for table in itertools.product(rows, repeat=n_objects):
+            ctx = FormalContext(objects, attributes, table)
+            lat = enumerate_concepts(ctx)
+            assert [(c.extent, c.intent) for c in lat] == brute_force_concepts(ctx), table
+            n_contexts += 1
+    assert n_contexts == 689
+
+
+def test_cap_bounds_the_work(living):
+    size = len(enumerate_concepts(living))
+    assert len(enumerate_concepts(living, max_concepts=size)) == size
+    with pytest.raises(ConceptLimitError, match=f"more than {size - 1} concepts"):
+        enumerate_concepts(living, max_concepts=size - 1)
+    with pytest.raises(ConceptLimitError, match="more than 0 concepts"):
+        enumerate_concepts(FormalContext((), (), ()), max_concepts=0)
+    # The contranominal scale on 20 objects has 2^20 concepts; the cap stops it early.
+    names = tuple(f"x{i}" for i in range(20))
+    scale = FormalContext(names, names, tuple(frozenset(range(20)) - {g} for g in range(20)))
+    start = time.process_time()
+    with pytest.raises(ConceptLimitError, match="more than 1000 concepts"):
+        enumerate_concepts(scale, max_concepts=1000)
+    assert time.process_time() - start < 1.0
 
 
 # ── order ────────────────────────────────────────────────────────────
@@ -336,6 +377,17 @@ def test_lattice_indexes_like_its_concept_tuple(living):
         for start, stop in ((4, None), (0, 3), (-2, None)):
             with pytest.raises(ValueError):
                 lat.index(lat[3], start, stop)
+
+
+def test_record_with_a_non_int_index_is_not_a_member(living):
+    lat = enumerate_concepts(living)
+    for index in (True, "x", 1.0, None):
+        record = FormalConcept(lat[1].extent, lat[1].intent, index, living)
+        with pytest.raises(LatticeMismatchError):
+            lat.require_member(record)
+        assert record not in lat and lat.count(record) == 0
+        with pytest.raises(ValueError):
+            lat.index(record)
 
 
 def test_membership_builds_at_most_one_record(living):
