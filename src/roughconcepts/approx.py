@@ -1,8 +1,13 @@
 """Context-level approximation relative to an indiscernibility partition.
 
-Approximating a whole context happens columnwise: each attribute extent
-is replaced by its upper or lower approximation.  Both results are
-definable contexts and bracket the original one.
+Approximating a whole context is columnwise: each attribute extent is
+replaced by its upper or lower approximation.  Both results are
+definable contexts and bracket the original one.  Row g of the upper
+context is the union of the rows of g's block, and of the lower context
+their meet, since g is in the upper approximation of m' iff its block
+meets m', and in the lower iff its block lies inside m'.  So the block
+rows of :meth:`ApproximationSpace._block_rows` fix both contexts, and
+every context-level function here reads them alone.
 """
 
 from __future__ import annotations
@@ -14,6 +19,7 @@ from .context import (
     ApproximationSpace,
     FormalContext,
     ObjectSet,
+    _bits,
     _checked_index,
     _mask,
     require_same_universe,
@@ -24,23 +30,32 @@ OrderMode = Literal["upper", "lower", "rough"]
 _MODES = ("upper", "lower", "rough")
 
 
-def _approx_context(
-    space: ApproximationSpace, ctx: FormalContext, approx: Callable[[int], int]
+def _from_block_rows(
+    space: ApproximationSpace, ctx: FormalContext, block_rows: list[int]
 ) -> FormalContext:
-    require_same_universe(space, ctx)
-    columns = [approx(column) for column in ctx._col_masks]
-    rows = [[m for m, c in enumerate(columns) if c >> g & 1] for g in range(len(ctx.objects))]
-    return FormalContext(ctx.objects, ctx.attributes, rows)
+    """The context whose row g is the row of g's block, one frozenset per block."""
+    rows = [frozenset(_bits(row)) for row in block_rows]
+    return FormalContext(ctx.objects, ctx.attributes, [rows[b] for b in space._block_index])
 
 
 def upper_context(space: ApproximationSpace, ctx: FormalContext) -> FormalContext:
-    """Columnwise upper approximation: the least definable context containing ``ctx``."""
-    return _approx_context(space, ctx, space._upper)
+    """Columnwise upper approximation: the least definable context containing ``ctx``.
+
+    Row g is the union of the rows of g's block: g possibly has m iff
+    some object indiscernible from g has m.
+    """
+    require_same_universe(space, ctx)
+    return _from_block_rows(space, ctx, space._block_rows(ctx)[0])
 
 
 def lower_context(space: ApproximationSpace, ctx: FormalContext) -> FormalContext:
-    """Columnwise lower approximation: the greatest definable context inside ``ctx``."""
-    return _approx_context(space, ctx, space._lower)
+    """Columnwise lower approximation: the greatest definable context inside ``ctx``.
+
+    Row g is the meet of the rows of g's block: g certainly has m iff
+    every object indiscernible from g has m.
+    """
+    require_same_universe(space, ctx)
+    return _from_block_rows(space, ctx, space._block_rows(ctx)[1])
 
 
 def _extent_mask(
@@ -146,12 +161,12 @@ def context_order(
         raise ValueError(f"unknown order mode {mode!r}")
     _require_same_shape(first, second)
     require_same_universe(space, first)
-    columns = list(zip(first._col_masks, second._col_masks))
+    first_rows, second_rows = space._block_rows(first), space._block_rows(second)
     ok = True
     if mode in ("upper", "rough"):
-        ok = all(not space._upper(a) & ~space._upper(b) for a, b in columns)
+        ok = all(not a & ~b for a, b in zip(first_rows[0], second_rows[0]))
     if ok and mode in ("lower", "rough"):
-        ok = all(not space._lower(a) & ~space._lower(b) for a, b in columns)
+        ok = all(not a & ~b for a, b in zip(first_rows[1], second_rows[1]))
     return ok
 
 
@@ -161,10 +176,7 @@ def contexts_roughly_equal(
     """Whether both approximations of the two contexts coincide exactly."""
     _require_same_shape(first, second)
     require_same_universe(space, first)
-    return all(
-        space._upper(a) == space._upper(b) and space._lower(a) == space._lower(b)
-        for a, b in zip(first._col_masks, second._col_masks)
-    )
+    return space._block_rows(first) == space._block_rows(second)
 
 
 class RoughFormalContext(Record, eq=False):

@@ -105,9 +105,10 @@ def lower_join(maps: ConceptApproximationMaps, concept: FormalConcept) -> Formal
     """
     upper = maps.upper._extents[maps.upper.require_member(concept).index]
     ctx = maps.base.context
+    closures = ctx._object_closures
     union = 0
     for g in _bits(upper):
-        closure = ctx._extent(ctx._row_masks[g])
+        closure = closures[g]
         if not closure & ~upper:
             union |= closure
     return maps.base[maps.base._extent_index[ctx._extent(ctx._intent(union))]]

@@ -5,7 +5,9 @@ order, which fixes index assignment for everything downstream.  Public
 functions take and return ``frozenset``s of such indices and check them
 once, on entry.  Inside the package a set is an int bitmask (bit ``i``
 for index ``i``); this module alone builds the row, column and block
-masks and the mask operations extent, intent, upper and lower.
+masks, the mask operations extent, intent, upper and lower, and the
+block rows (each block's union and meet of rows) that fix a whole
+context's approximations.
 """
 
 from __future__ import annotations
@@ -198,6 +200,11 @@ class FormalContext(Record, _ObjectIndex):
             out &= columns[m]
         return out
 
+    @cached_property
+    def _object_closures(self) -> tuple[int, ...]:
+        """Each object's closure g'' as a mask: the objects having every attribute g has."""
+        return tuple(self._extent(row) for row in self._row_masks)
+
     def _intent(self, objects: int) -> int:
         """Mask of the attributes shared by every object in the mask."""
         out = (1 << len(self.attributes)) - 1
@@ -328,6 +335,18 @@ class ApproximationSpace(Record, _ObjectIndex):
         full = (1 << len(self.objects)) - 1
         return full & ~self._upper(full & ~objects)
 
+    def _block_rows(self, ctx: FormalContext) -> tuple[list[int], list[int]]:
+        """The union and the meet of each block's row masks in ``ctx``, indexed by block.
+
+        Blocks are never empty, so each meet is inside its union.
+        """
+        unions = [0] * len(self.blocks)
+        meets = [(1 << len(ctx.attributes)) - 1] * len(self.blocks)
+        for b, row in zip(self._block_index, ctx._row_masks):
+            unions[b] |= row
+            meets[b] &= row
+        return unions, meets
+
     def _blocks_meeting(self, objects: int) -> ObjectSet:
         """Frozenset union of the blocks meeting the mask (the mask's own set if definable)."""
         out: set[int] = set()
@@ -390,8 +409,14 @@ def is_definable_set(space: ApproximationSpace, objects: Iterable[int]) -> bool:
 
 
 def definable_attributes(space: ApproximationSpace, ctx: FormalContext) -> AttributeSet:
-    """Attributes whose extent is definable; all of them iff the context is definable."""
+    """Attributes whose extent is definable; all of them iff the context is definable.
+
+    An extent is definable when each block lies inside it or misses it,
+    that is when every block's row union and row meet agree on the attribute.
+    """
     require_same_universe(space, ctx)
-    return frozenset(
-        m for m, column in enumerate(ctx._col_masks) if space._upper(column) == column
-    )
+    unions, meets = space._block_rows(ctx)
+    mixed = 0
+    for union, meet in zip(unions, meets):
+        mixed |= union ^ meet
+    return frozenset(_bits(((1 << len(ctx.attributes)) - 1) & ~mixed))

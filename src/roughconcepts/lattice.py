@@ -107,10 +107,12 @@ class ConceptLattice(Sequence):
 
         Membership is structural: a concept of a separately built lattice
         is accepted when its context and its record equal this lattice's.
-        A record whose index is not a plain ``int`` is refused.
+        A value that is not a :class:`FormalConcept`, or a record whose
+        index is not a plain ``int``, is refused.
         """
-        if concept.context is not self.context:
-            _require_same_context(concept.context, self.context)
+        context = _context_of(concept)
+        if context is not self.context:
+            _require_same_context(context, self.context)
         if type(concept.index) is int and 0 <= concept.index < len(self):
             own = self[concept.index]
             if own == concept:
@@ -120,7 +122,7 @@ class ConceptLattice(Sequence):
     def _position(self, value: object) -> int:
         """The index :meth:`require_member` accepts ``value`` at, or -1 if it refuses it."""
         try:
-            return self.require_member(value).index if isinstance(value, FormalConcept) else -1
+            return self.require_member(value).index
         except LatticeMismatchError:
             return -1
 
@@ -208,6 +210,13 @@ def covering_relation(lat: ConceptLattice) -> list[tuple[int, int]]:
     return list(lat.covers)
 
 
+def _context_of(value: object) -> FormalContext | None:
+    """The context of a concept record; any other value is refused as a non-member."""
+    if not isinstance(value, FormalConcept):
+        raise LatticeMismatchError(f"a value of type {type(value).__name__} is not a concept")
+    return value.context
+
+
 def _require_same_context(first: FormalContext | None, second: FormalContext | None) -> None:
     """Concepts share a lattice when their contexts are one object, or else equal."""
     if first is None or second is None:
@@ -218,7 +227,7 @@ def _require_same_context(first: FormalContext | None, second: FormalContext | N
 
 def concept_leq(first: FormalConcept, second: FormalConcept) -> bool:
     """Generalization order: ``first <= second`` iff its extent is contained."""
-    _require_same_context(first.context, second.context)
+    _require_same_context(_context_of(first), _context_of(second))
     return first.extent <= second.extent
 
 

@@ -2,10 +2,12 @@
 
 from __future__ import annotations
 
+import itertools
 import random
 
 import pytest
 from hypothesis import given
+from hypothesis import strategies as st
 
 from roughconcepts import (
     ApproximationSpace,
@@ -15,6 +17,7 @@ from roughconcepts import (
     certainly_has,
     context_order,
     contexts_roughly_equal,
+    definable_attributes,
     derive_extent,
     extent_lower,
     extent_upper_free,
@@ -250,3 +253,113 @@ def test_rough_context_rejects_bad_sandwich(living, living_space, living_upper):
 
     with pytest.raises(ValueError):
         RoughFormalContext(living_space, living_upper, living, living)
+
+
+# ── block-row kernel against the set definitions ──────────────────────────
+
+
+def oracle_columns(space, ctx):
+    """Each attribute extent with its upper and lower approximation, from the set definitions."""
+    out = []
+    for m in range(len(ctx.attributes)):
+        extent = {g for g, row in enumerate(ctx.rows) if m in row}
+        upper = {g for block in space.blocks if block & extent for g in block}
+        lower = {g for block in space.blocks if block <= extent for g in block}
+        out.append((extent, upper, lower))
+    return out
+
+
+def oracle_context(ctx, columns, which):
+    """The context whose columns are entry ``which`` of the oracle columns."""
+    rows = tuple(
+        frozenset(m for m, column in enumerate(columns) if g in column[which])
+        for g in range(len(ctx.objects))
+    )
+    return FormalContext(ctx.objects, ctx.attributes, rows)
+
+
+def set_partitions(items):
+    if not items:
+        yield []
+        return
+    first, rest = items[0], items[1:]
+    for blocks in set_partitions(rest):
+        yield [[first], *blocks]
+        for i in range(len(blocks)):
+            yield [*blocks[:i], [first, *blocks[i]], *blocks[i + 1:]]
+
+
+def spaced_contexts_of_shape(n_objects, n_attributes):
+    """Every context of the shape, as (contexts, spaces): every partition of its objects."""
+    objects = tuple(f"g{g}" for g in range(n_objects))
+    attributes = tuple(f"m{m}" for m in range(n_attributes))
+    rows = [frozenset(r) for k in range(n_attributes + 1)
+            for r in itertools.combinations(range(n_attributes), k)]
+    contexts = [FormalContext(objects, attributes, table)
+                for table in itertools.product(rows, repeat=n_objects)]
+    spaces = [ApproximationSpace(objects, tuple(map(frozenset, blocks)))
+              for blocks in set_partitions(list(range(n_objects)))]
+    return contexts, spaces
+
+
+def assert_context_kernel_matches_oracle(space, ctx):
+    columns = oracle_columns(space, ctx)
+    assert upper_context(space, ctx) == oracle_context(ctx, columns, 1)
+    assert lower_context(space, ctx) == oracle_context(ctx, columns, 2)
+    definable = frozenset(m for m, column in enumerate(columns) if column[1] == column[0])
+    assert definable_attributes(space, ctx) == definable
+
+
+def assert_orders_match_oracle(space, first, second):
+    pairs = list(zip(oracle_columns(space, first), oracle_columns(space, second)))
+    upper = all(a[1] <= b[1] for a, b in pairs)
+    lower = all(a[2] <= b[2] for a, b in pairs)
+    assert context_order(space, first, second, "upper") == upper
+    assert context_order(space, first, second, "lower") == lower
+    assert context_order(space, first, second, "rough") == (upper and lower)
+    assert contexts_roughly_equal(space, first, second) == all(a[1:] == b[1:] for a, b in pairs)
+
+
+def test_context_approximation_matches_sets_on_every_context_up_to_3x3():
+    n_pairs = 0
+    for shape in itertools.product(range(4), repeat=2):
+        contexts, spaces = spaced_contexts_of_shape(*shape)
+        for ctx, space in itertools.product(contexts, spaces):
+            assert_context_kernel_matches_oracle(space, ctx)
+            n_pairs += 1
+    # 689 contexts, with the 1, 1, 2 or 5 partitions of their 0-3 objects
+    assert n_pairs == 4 + 15 + 85 * 2 + 585 * 5
+
+
+def test_context_orders_match_sets_on_every_pair_up_to_2x2():
+    n_triples = 0
+    for shape in itertools.product(range(3), repeat=2):
+        contexts, spaces = spaced_contexts_of_shape(*shape)
+        for first, second, space in itertools.product(contexts, contexts, spaces):
+            assert_orders_match_oracle(space, first, second)
+            n_triples += 1
+    # every context paired with each of its shape, under the 1, 1 or 2 partitions of 0-2 objects
+    assert n_triples == 3 + (1 + 4 + 16) + (1 + 16 + 256) * 2
+
+
+@given(st.data())
+def test_context_kernel_matches_sets_on_random_pairs(data):
+    n_objects, n_attributes = data.draw(st.integers(0, 12)), data.draw(st.integers(0, 6))
+    objects = tuple(f"g{g}" for g in range(n_objects))
+    attributes = tuple(f"m{m}" for m in range(n_attributes))
+    labels = data.draw(st.lists(st.integers(0, 11), min_size=n_objects, max_size=n_objects))
+    blocks: dict[int, set[int]] = {}
+    for g, label in enumerate(labels):
+        blocks.setdefault(label, set()).add(g)
+    space = ApproximationSpace(objects, tuple(map(frozenset, blocks.values())))
+    masks = st.lists(st.integers(0, (1 << n_attributes) - 1),
+                     min_size=n_objects, max_size=n_objects)
+    first, second = (
+        FormalContext(objects, attributes,
+                      [frozenset(m for m in range(n_attributes) if row >> m & 1) for row in rows])
+        for rows in (data.draw(masks), data.draw(masks))
+    )
+    assert_context_kernel_matches_oracle(space, first)
+    assert_context_kernel_matches_oracle(space, second)
+    assert_orders_match_oracle(space, first, second)
+    assert_orders_match_oracle(space, second, first)

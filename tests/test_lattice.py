@@ -390,6 +390,20 @@ def test_record_with_a_non_int_index_is_not_a_member(living):
             lat.index(record)
 
 
+def test_a_value_that_is_not_a_concept_is_not_a_member(living):
+    lat = enumerate_concepts(living)
+    for call in (
+        lambda: lat.require_member(5),
+        lambda: lattice_meet(lat, [5]),
+        lambda: lattice_join(lat, [None]),
+        lambda: concept_leq(lat[1], 5),
+        lambda: concept_leq("top", lat[1]),
+    ):
+        with pytest.raises(LatticeMismatchError, match="is not a concept"):
+            call()
+    assert 5 not in lat and lat.count(None) == 0
+
+
 def test_membership_builds_at_most_one_record(living):
     lat = enumerate_concepts(living)
     assert lat[-1] in lat
