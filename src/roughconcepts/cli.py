@@ -3,6 +3,11 @@
 Exit codes: 0 success, 1 usage error, 2 parse error, 3 semantic error,
 4 resource cap exceeded.  Failures print a single machine-parsable line
 ``error: <category>: <message>`` to stderr and emit nothing on stdout.
+``report`` writes its JSON in chunks as it renders them, and only once
+nothing can fail.  A reader that closes stdout early (``| head``) is not
+a failure: the rest of the output is dropped, stderr stays empty and the
+exit code is 0, since the input was good and every byte written was
+correct (as when the whole output fits the pipe before the reader stops).
 
 Each command runs in a fresh interpreter, so the modules only some
 commands use (``approx``, ``concepts``, ``report``, ``rules`` and
@@ -13,9 +18,10 @@ them.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from pathlib import Path
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Iterator
 
 from .context import ApproximationSpace, FormalContext, _names, definable_attributes, derive_extent
 from .errors import ConceptLimitError, ParseError, RoughConceptsError, UndefinedMeasureError
@@ -28,7 +34,7 @@ from .formats import (
     parse_partition,
     render_context,
 )
-from .lattice import DEFAULT_MAX_CONCEPTS, ConceptLattice, enumerate_concepts
+from .lattice import DEFAULT_MAX_CONCEPTS, ConceptLattice, _named_concepts, enumerate_concepts
 
 if TYPE_CHECKING:
     from .rules import Implication
@@ -192,9 +198,8 @@ def _attr_list(raw: str) -> list[str]:
 
 def _format_lattice(lat: ConceptLattice) -> str:
     lines = [f"concepts {len(lat)}"]
-    for k in range(len(lat)):
-        extent, intent = map(",".join, lat._named(k))
-        lines.append(f"{k} extent={{{extent}}} intent={{{intent}}}")
+    for k, (extent, intent) in enumerate(_named_concepts(lat)):
+        lines.append(f"{k} extent={{{','.join(extent)}}} intent={{{','.join(intent)}}}")
     lines.append(f"covers {len(lat.covers)}")
     for low, high in lat.covers:
         lines.append(f"{low} -> {high}")
@@ -210,7 +215,8 @@ def _parse_rule_option(ctx: FormalContext, raw: str) -> Implication:
     return Implication.of(ctx, _attr_list(premise), _attr_list(conclusion))
 
 
-def _dispatch(args: argparse.Namespace) -> str:
+def _dispatch(args: argparse.Namespace) -> str | Iterator[str]:
+    """The command's output: one string, or chunks to write in turn once nothing can fail."""
     command = args.command
     if command == "extent" and args.strict_upper and args.approx != "upper":
         raise UsageError("argument --strict-upper: not allowed without --approx upper")
@@ -271,13 +277,11 @@ def _dispatch(args: argparse.Namespace) -> str:
         return "true" if holds else "false"
 
     if command == "report":
-        import json
-
-        from .report import build_report
+        from .report import report_chunks
 
         space = _require_space(space)
         rules = [_parse_rule_option(ctx, raw) for raw in args.rule]
-        return json.dumps(build_report(space, ctx, rules, args.max_concepts), indent=2)
+        return report_chunks(space, ctx, rules, args.max_concepts)
 
     if command == "export":
         target = _approximated(args.which, space, ctx)
@@ -302,7 +306,17 @@ def run_cli(argv: list[str]) -> int:
                 return code
         raise
 
-    sys.stdout.write(output if output.endswith("\n") else output + "\n")
+    try:
+        for chunk in (output,) if isinstance(output, str) else output:
+            sys.stdout.write(chunk)
+        if not chunk.endswith("\n"):
+            sys.stdout.write("\n")
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader stopped early, as ``| head`` does; the exit at shutdown flushes to nowhere.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
     return EXIT_OK
 
 

@@ -386,9 +386,10 @@ def export_dot(lattice: ConceptLattice, labeling: str = "full") -> str:
     ctx = lattice.context
     labels: list[str] = []
     if labeling == "full":
-        for k in range(len(lattice)):
-            extent, intent = (_dot_escape(", ".join(names)) for names in lattice._named(k))
-            labels.append(f"{{{intent}}}\\n{{{extent}}}")
+        from .lattice import _named_concepts
+
+        for extent, intent in _named_concepts(lattice, _dot_escape):
+            labels.append(f"{{{', '.join(intent)}}}\\n{{{', '.join(extent)}}}")
     else:
         attr_home: list[list[str]] = [[] for _ in range(len(lattice))]
         for m, column in enumerate(ctx._col_masks):

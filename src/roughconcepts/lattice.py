@@ -4,10 +4,10 @@ from __future__ import annotations
 
 from collections.abc import Sequence
 from functools import cached_property
-from typing import Iterable
+from typing import Callable, Iterable, Iterator
 
 from ._record import Record
-from .context import AttributeSet, FormalContext, ObjectSet, _bits, _mask, _names
+from .context import AttributeSet, FormalContext, ObjectSet, _bits, _mask
 from .errors import ConceptLimitError, InvalidSetError, LatticeMismatchError
 
 DEFAULT_MAX_CONCEPTS = 100_000
@@ -80,11 +80,6 @@ class ConceptLattice(Sequence):
             self.context,
         )
         return concept
-
-    def _named(self, index: int) -> tuple[tuple[str, ...], tuple[str, ...]]:
-        """Concept ``index``'s object and attribute names, in input order, from its masks."""
-        extent, intent = _bits(self._extents[index]), _bits(self._intents[index])
-        return _names(self.context.objects, extent), _names(self.context.attributes, intent)
 
     @property
     def top(self) -> FormalConcept:
@@ -178,6 +173,20 @@ def enumerate_concepts(
         -int.from_bytes(c[0].to_bytes(size, "little").translate(_REVERSED), "big"),
     ))
     return ConceptLattice(ctx, closed)
+
+
+def _named_concepts(
+    lat: ConceptLattice, encode: Callable[[str], str] = str
+) -> Iterator[tuple[list[str], list[str]]]:
+    """Each concept's object and attribute names in input order, read from its masks.
+
+    Every renderer names members through this one table: each name of the
+    context is passed through ``encode`` once per lattice, not once per concept.
+    """
+    objects = [encode(name) for name in lat.context.objects]
+    attributes = [encode(name) for name in lat.context.attributes]
+    for extent, intent in zip(lat._extents, lat._intents):
+        yield [objects[g] for g in _bits(extent)], [attributes[m] for m in _bits(intent)]
 
 
 def _covering_pairs(extents: Sequence[int]) -> list[tuple[int, int]]:

@@ -1,8 +1,17 @@
-"""Assembly of the machine-readable analysis report."""
+"""Assembly of the machine-readable analysis report.
+
+:func:`build_report` gives the report as plain data, and
+:func:`report_chunks` gives ``json.dumps`` of that data with ``indent=2``
+as text, in chunks, writing the lattice listings straight from the
+concept masks.
+"""
 
 from __future__ import annotations
 
-from typing import Sequence
+import json
+from itertools import islice
+from json.encoder import encode_basestring_ascii
+from typing import Iterator, Sequence
 
 from .concepts import (
     ConceptApproximationMaps,
@@ -13,16 +22,52 @@ from .concepts import (
 from .context import ApproximationSpace, FormalContext, _names, definable_attributes
 from .errors import UndefinedMeasureError
 from .formats import _blocks_data, _context_data
-from .lattice import DEFAULT_MAX_CONCEPTS, ConceptLattice
+from .lattice import DEFAULT_MAX_CONCEPTS, ConceptLattice, _named_concepts
 from .rules import Implication, certain_rule, implication_holds, possible_rule, rough_measure
+
+_CHUNK = 256  # concepts, or covers, per chunk of report text
 
 
 def _lattice_dict(lat: ConceptLattice) -> dict:
-    concepts = []
-    for k in range(len(lat)):
-        extent, intent = lat._named(k)
-        concepts.append({"index": k, "extent": list(extent), "intent": list(intent)})
+    concepts = [
+        {"index": k, "extent": extent, "intent": intent}
+        for k, (extent, intent) in enumerate(_named_concepts(lat))
+    ]
     return {"concepts": concepts, "covers": [[low, high] for low, high in lat.covers]}
+
+
+# A lattice listing sits at one depth of the report: a concept's object opens
+# 8 spaces in, its keys are 10 in and its member names 12.
+def _name_item(name: str) -> str:
+    return "\n            " + encode_basestring_ascii(name)
+
+
+def _name_list(items: list[str]) -> str:
+    return f"[{','.join(items)}\n          ]" if items else "[]"
+
+
+def _array(items: Iterator[str]) -> Iterator[str]:
+    """A JSON array of a lattice listing, from its items' text, ``_CHUNK`` items a chunk."""
+    opening = "["
+    while batch := list(islice(items, _CHUNK)):
+        yield opening + ",".join(batch)
+        opening = ","
+    yield "[]" if opening == "[" else "\n      ]"
+
+
+def _lattice_chunks(lat: ConceptLattice) -> Iterator[str]:
+    """The text of ``_lattice_dict(lat)`` at its depth in the report, in chunks."""
+    concepts = (
+        f'\n        {{\n          "index": {k},\n          "extent": {_name_list(extent)},'
+        f'\n          "intent": {_name_list(intent)}\n        }}'
+        for k, (extent, intent) in enumerate(_named_concepts(lat, _name_item))
+    )
+    covers = (f"\n        [\n          {low},\n          {high}\n        ]" for low, high in lat.covers)
+    yield '{\n      "concepts": '
+    yield from _array(concepts)
+    yield ',\n      "covers": '
+    yield from _array(covers)
+    yield "\n    }"
 
 
 def _rule_dict(
@@ -66,6 +111,35 @@ def _rough_classes_data(maps: ConceptApproximationMaps) -> list[dict]:
     ]
 
 
+def _sections(
+    space: ApproximationSpace,
+    ctx: FormalContext,
+    rules: Sequence[Implication],
+    maps: ConceptApproximationMaps,
+) -> tuple[dict, dict]:
+    """The report's fields before ``lattices`` and after it."""
+    head = {
+        "context": _context_data(ctx),
+        "space": {"blocks": _blocks_data(space)},
+        "definable_attributes": list(_names(ctx.attributes, definable_attributes(space, ctx))),
+        "approximations": {
+            "upper": _context_data(maps.upper.context),
+            "lower": _context_data(maps.lower.context),
+        },
+    }
+    tail = {
+        "maps": _maps_data(maps),
+        "kernels": _kernels_data(maps),
+        "rough_classes": _rough_classes_data(maps),
+        "rules": [_rule_dict(space, ctx, implication) for implication in rules],
+    }
+    return head, tail
+
+
+def _lattices(maps: ConceptApproximationMaps) -> tuple[tuple[str, ConceptLattice], ...]:
+    return ("base", maps.base), ("upper", maps.upper), ("lower", maps.lower)
+
+
 def build_report(
     space: ApproximationSpace,
     ctx: FormalContext,
@@ -78,22 +152,38 @@ def build_report(
     the input order, concepts are listed with their canonical index, and
     every index elsewhere in the report resolves into those listings.
     """
-    maps: ConceptApproximationMaps = approximation_maps(space, ctx, max_concepts)
-    return {
-        "context": _context_data(ctx),
-        "space": {"blocks": _blocks_data(space)},
-        "definable_attributes": list(_names(ctx.attributes, definable_attributes(space, ctx))),
-        "approximations": {
-            "upper": _context_data(maps.upper.context),
-            "lower": _context_data(maps.lower.context),
-        },
-        "lattices": {
-            "base": _lattice_dict(maps.base),
-            "upper": _lattice_dict(maps.upper),
-            "lower": _lattice_dict(maps.lower),
-        },
-        "maps": _maps_data(maps),
-        "kernels": _kernels_data(maps),
-        "rough_classes": _rough_classes_data(maps),
-        "rules": [_rule_dict(space, ctx, implication) for implication in rules],
-    }
+    maps = approximation_maps(space, ctx, max_concepts)
+    head, tail = _sections(space, ctx, rules, maps)
+    lattices = {name: _lattice_dict(lat) for name, lat in _lattices(maps)}
+    return {**head, "lattices": lattices, **tail}
+
+
+def report_chunks(
+    space: ApproximationSpace,
+    ctx: FormalContext,
+    rules: Sequence[Implication] = (),
+    max_concepts: int = DEFAULT_MAX_CONCEPTS,
+) -> Iterator[str]:
+    """``json.dumps(build_report(...), indent=2)``, as chunks of text to write in turn.
+
+    Everything that can fail runs before this returns: the lattices under
+    the cap, the rules and the small sections, which ``json.dumps`` renders.
+    The lattice listings, nearly all of a large report, are then rendered
+    from the concept masks ``_CHUNK`` concepts or covers at a time, with each
+    name escaped once per lattice by the escaper ``json.dumps`` uses, so the
+    text of a listing is never held whole.
+    """
+    maps = approximation_maps(space, ctx, max_concepts)
+    # Each part is "{\n  ...\n}" at the report's own depth; the lattices go between them.
+    head, tail = (json.dumps(part, indent=2) for part in _sections(space, ctx, rules, maps))
+    return _report_text(head, maps, tail)
+
+
+def _report_text(head: str, maps: ConceptApproximationMaps, tail: str) -> Iterator[str]:
+    yield head[:-2] + ',\n  "lattices": {'
+    comma = ""
+    for name, lat in _lattices(maps):
+        yield f'{comma}\n    "{name}": '
+        yield from _lattice_chunks(lat)
+        comma = ","
+    yield "\n  }," + tail[1:]

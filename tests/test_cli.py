@@ -5,7 +5,10 @@ from __future__ import annotations
 import io
 import json
 import operator
+import os
 import re
+import subprocess
+import sys
 import tempfile
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
@@ -15,6 +18,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from roughconcepts.cli import (
     _MAX_MESSAGE,
+    EXIT_OK,
     EXIT_PARSE,
     EXIT_RESOURCE,
     EXIT_SEMANTIC,
@@ -283,10 +287,11 @@ def test_resource_error_names_the_lattice(capsys, tmp_path):
     ctx.write_text(",m0,m1,m2\ng0,X,,\ng1,,,X\ng2,,,X\ng3,X,,\n")
     part = tmp_path / "merge_partition.txt"
     part.write_text("g0\ng1, g3\ng2\n")
-    argv = ["assignments", "--context", str(ctx), "--partition", str(part), "--max-concepts", "4"]
-    code, out, err = run(capsys, *argv)
-    assert (code, out) == (4, "")
-    assert err.startswith("error: resource: upper lattice: ") and err.count("\n") == 1
+    for command in ("assignments", "report"):
+        argv = [command, "--context", str(ctx), "--partition", str(part), "--max-concepts", "4"]
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (4, "")
+        assert err.startswith("error: resource: upper lattice: ") and err.count("\n") == 1
 
 
 def test_oversized_csv_field_is_parse_error(capsys, tmp_path):
@@ -295,6 +300,37 @@ def test_oversized_csv_field_is_parse_error(capsys, tmp_path):
     code, out, err = run(capsys, "lattice", "--context", str(big))
     assert (code, out) == (2, "")
     assert err.startswith("error: parse:") and err.count("\n") == 1
+
+
+def test_reader_closing_stdout_early_ends_the_report_quietly(tmp_path):
+    # The contranominal scale on 9 objects: three lattices of 512 concepts, a
+    # report of about 600 KB in many chunks, far more than a pipe holds.
+    names = [f"o{i}" for i in range(9)]
+    doc = {
+        "objects": names,
+        "attributes": names,
+        "incidence": [[g, m] for g in names for m in names if g != m],
+        "partition": [[g] for g in names],
+    }
+    context = tmp_path / "nominal.json"
+    context.write_text(json.dumps(doc))
+    src = str(Path(__file__).parent.parent / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "roughconcepts.cli", "report", "--context", str(context)],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=env,
+    )
+    try:
+        assert proc.stdout.read(1) == b"{"
+        proc.stdout.close()
+        err = proc.stderr.read()
+        assert (proc.wait(timeout=60), err) == (EXIT_OK, b"")
+    finally:
+        proc.kill()
+        proc.wait()
+        proc.stderr.close()
 
 
 # Modes that compute nothing from the partition.

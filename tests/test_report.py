@@ -1,14 +1,16 @@
-"""The analysis report: self-containment and determinism."""
+"""The analysis report: self-containment, determinism, and its streamed text."""
 
 from __future__ import annotations
 
 import json
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from roughconcepts import Implication, build_report
+from roughconcepts import FormalContext, Implication, build_report, parse_context
+from roughconcepts.report import _CHUNK, report_chunks
 
-from conftest import aset
+from conftest import aset, spaced_contexts
 
 
 @pytest.fixture(scope="module")
@@ -69,3 +71,55 @@ def test_report_is_deterministic_and_json_serializable(living, living_space):
     one = build_report(living_space, living)
     two = build_report(living_space, living)
     assert json.dumps(one) == json.dumps(two)
+
+
+# Stems the JSON escaper rewrites: a quote, a backslash, control characters,
+# non-ASCII text and an astral character.
+AWKWARD = ('say "hi"', "back\\slash", "tab\there\x01", "naïve", "clef \U0001d11e")
+
+
+def _json_document(ctx: FormalContext, blocks) -> tuple:
+    """``ctx`` and its partition read back from a JSON document, under awkward names."""
+    objects = [f"{AWKWARD[g % len(AWKWARD)]} g{g}" for g in range(len(ctx.objects))]
+    attributes = [f"{AWKWARD[m % len(AWKWARD)]} m{m}" for m in range(len(ctx.attributes))]
+    doc = {
+        "objects": objects,
+        "attributes": attributes,
+        "incidence": [[objects[g], attributes[m]] for g, m in ctx.pairs()],
+        "partition": [[objects[g] for g in sorted(block)] for block in blocks],
+    }
+    parsed = parse_context(json.dumps(doc), "json")
+    assert parsed.context.objects == tuple(objects)  # names are kept as written
+    return parsed.partition, parsed.context
+
+
+def _assert_text_is_the_dumped_report(space, ctx, rules) -> list[str]:
+    chunks = list(report_chunks(space, ctx, rules))
+    assert "".join(chunks) + "\n" == json.dumps(build_report(space, ctx, rules), indent=2) + "\n"
+    return chunks
+
+
+@settings(max_examples=60, deadline=None)
+@given(spaced_contexts(), st.data())
+def test_report_text_is_the_dumped_report(drawn, data):
+    ctx, space = drawn
+    space, ctx = _json_document(ctx, space.blocks)
+    attrs = st.frozensets(st.integers(0, len(ctx.attributes) - 1)) if ctx.attributes else st.just(frozenset())
+    rules = data.draw(st.lists(st.builds(Implication, attrs, attrs), max_size=3))
+    _assert_text_is_the_dumped_report(space, ctx, rules)
+
+
+def test_report_text_of_lattices_larger_than_a_chunk():
+    # The contranominal scale on 9 objects has 2**9 concepts; one block of two
+    # objects makes the approximation lattices differ from it.
+    n = 9
+    ctx = FormalContext(
+        tuple(f"g{g}" for g in range(n)),
+        tuple(f"m{m}" for m in range(n)),
+        tuple(frozenset(range(n)) - {g} for g in range(n)),
+    )
+    space, ctx = _json_document(ctx, [{0, 1}, *({g} for g in range(2, n))])
+    rules = [Implication(frozenset(), frozenset({0, 1}))]
+    chunks = _assert_text_is_the_dumped_report(space, ctx, rules)
+    listed = [chunk.count('"index": ') for chunk in chunks]
+    assert max(listed) == _CHUNK and sum(listed) > 2 * _CHUNK
