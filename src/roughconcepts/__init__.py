@@ -42,8 +42,8 @@ _PUBLIC = {
         render_context
     """,
     "lattice": """
-        ConceptLattice FormalConcept concept_leq covering_relation
-        enumerate_concepts lattice_join lattice_meet
+        ConceptLattice FormalConcept concept_leq enumerate_concepts
+        lattice_join lattice_meet
     """,
     "report": "build_report",
     "rules": """

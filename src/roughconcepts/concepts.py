@@ -160,8 +160,13 @@ def rough_concept_classes(maps: ConceptApproximationMaps) -> tuple[RoughConceptC
             maps.upper[maps.to_upper[members[0]]],
             maps.lower[maps.to_lower[members[0]]],
         )
-        for members in sorted(_fibers(tuple(zip(maps.to_upper, maps.to_lower))))
+        for members in _rough_class_members(maps)
     )
+
+
+def _rough_class_members(maps: ConceptApproximationMaps) -> list[tuple[int, ...]]:
+    """Each rough class's base concept indices, classes by their smallest member."""
+    return sorted(_fibers(tuple(zip(maps.to_upper, maps.to_lower))))
 
 
 def _fibers(assignment: tuple[int | tuple[int, int], ...]) -> tuple[tuple[int, ...], ...]:

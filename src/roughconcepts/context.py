@@ -80,6 +80,15 @@ def _checked_indices(values: Iterable[int], size: int, kind: str) -> frozenset[i
     return out
 
 
+def _checked_mask(values: Iterable[int], size: int, kind: str) -> tuple[frozenset[int], int]:
+    """The index set and its mask, built in the walk that checks each index."""
+    out = frozenset(values)
+    mask = 0
+    for i in out:
+        mask |= 1 << _checked_index(i, size, kind)
+    return out, mask
+
+
 class _ObjectIndex:
     """Name and index helpers for a class with an ``objects`` name tuple."""
 
@@ -106,9 +115,9 @@ class FormalContext(Record, _ObjectIndex):
     """A binary incidence table between named objects and attributes.
 
     ``rows[g]`` holds the attribute indices object ``g`` has; the rows are
-    the one way the incidence enters, the column masks are the row masks
-    transposed and ``columns`` views them, so no two views can disagree.
-    Instances are immutable and hashable.
+    the one way the incidence enters, and the walk that checks them builds
+    ``_row_masks``.  The column masks are the row masks transposed and
+    ``columns`` views them, so no two views can disagree.  Immutable, hashable.
     """
 
     objects: tuple[str, ...]
@@ -118,14 +127,11 @@ class FormalContext(Record, _ObjectIndex):
     def __post_init__(self) -> None:
         object.__setattr__(self, "objects", _unique_names(self.objects, "object"))
         object.__setattr__(self, "attributes", _unique_names(self.attributes, "attribute"))
-        rows = tuple(
-            _checked_indices(row, len(self.attributes), "attribute") for row in self.rows
-        )
-        if len(rows) != len(self.objects):
-            raise InvalidSetError(
-                f"expected {len(self.objects)} incidence rows, got {len(rows)}"
-            )
-        object.__setattr__(self, "rows", rows)
+        checked = [_checked_mask(row, len(self.attributes), "attribute") for row in self.rows]
+        if len(checked) != len(self.objects):
+            raise InvalidSetError(f"expected {len(self.objects)} incidence rows, got {len(checked)}")
+        object.__setattr__(self, "rows", tuple(row for row, _ in checked))
+        object.__setattr__(self, "_row_masks", tuple(mask for _, mask in checked))
 
     # -- construction ------------------------------------------------------
 
@@ -181,10 +187,6 @@ class FormalContext(Record, _ObjectIndex):
         return tuple(frozenset(_bits(column)) for column in self._col_masks)
 
     @cached_property
-    def _row_masks(self) -> tuple[int, ...]:
-        return tuple(_mask(row) for row in self.rows)
-
-    @cached_property
     def _col_masks(self) -> tuple[int, ...]:
         cols = [0] * len(self.attributes)
         for g, row in enumerate(self._row_masks):
@@ -236,9 +238,9 @@ class ApproximationSpace(Record, _ObjectIndex):
     """A partition of the object universe into indiscernibility blocks.
 
     Two objects are indiscernible exactly when they share a block, which
-    realizes the underlying equivalence relation with O(1) lookup.
-    Blocks are normalized to ascending order of their smallest member,
-    so equal partitions compare equal regardless of input order.
+    realizes the underlying equivalence relation with O(1) lookup.  Blocks
+    are sorted by their smallest member, so equal partitions compare equal
+    whatever the input order; the walk that checks them builds ``_block_masks``.
     """
 
     objects: tuple[str, ...]
@@ -246,22 +248,23 @@ class ApproximationSpace(Record, _ObjectIndex):
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "objects", _unique_names(self.objects, "object"))
-        raw = tuple(frozenset(block) for block in self.blocks)
-        covered: set[int] = set()
-        for block in raw:
+        checked = []
+        covered = 0
+        for block in [frozenset(block) for block in self.blocks]:  # each a set before any check
             if not block:
                 raise PartitionError("blocks must be nonempty")
-            checked = _checked_indices(block, len(self.objects), "object")
-            overlap = covered & checked
-            if overlap:
-                raise PartitionError(
-                    f"object {self.objects[min(overlap)]!r} appears in more than one block"
-                )
-            covered |= checked
-        if len(covered) != len(self.objects):
-            missing = sorted(set(range(len(self.objects))) - covered)
-            raise PartitionError(_uncovered_message([self.objects[g] for g in missing]))
-        object.__setattr__(self, "blocks", tuple(sorted(raw, key=min)))
+            block, mask = _checked_mask(block, len(self.objects), "object")
+            if covered & mask:
+                name = self.objects[next(_bits(covered & mask))]
+                raise PartitionError(f"object {name!r} appears in more than one block")
+            covered |= mask
+            checked.append((block, mask))
+        missing = ((1 << len(self.objects)) - 1) & ~covered
+        if missing:
+            raise PartitionError(_uncovered_message([self.objects[g] for g in _bits(missing)]))
+        checked.sort(key=lambda pair: pair[1] & -pair[1])  # by smallest member
+        object.__setattr__(self, "blocks", tuple(block for block, _ in checked))
+        object.__setattr__(self, "_block_masks", tuple(mask for _, mask in checked))
 
     # -- construction ------------------------------------------------------
 
@@ -317,10 +320,6 @@ class ApproximationSpace(Record, _ObjectIndex):
     def block_of(self, g: int) -> ObjectSet:
         """The indiscernibility block containing object ``g``."""
         return self.blocks[self.block_index_of(g)]
-
-    @cached_property
-    def _block_masks(self) -> tuple[int, ...]:
-        return tuple(_mask(block) for block in self.blocks)
 
     def _upper(self, objects: int) -> int:
         """Union of the blocks meeting the object mask."""

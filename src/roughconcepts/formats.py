@@ -395,8 +395,8 @@ def export_dot(lattice: ConceptLattice, labeling: str = "full") -> str:
         for m, column in enumerate(ctx._col_masks):
             attr_home[lattice._extent_index[column]].append(ctx.attributes[m])
         object_home: list[list[str]] = [[] for _ in range(len(lattice))]
-        for g, row in enumerate(ctx._row_masks):
-            object_home[lattice._extent_index[ctx._extent(row)]].append(ctx.objects[g])
+        for g, closure in enumerate(ctx._object_closures):
+            object_home[lattice._extent_index[closure]].append(ctx.objects[g])
         for attr_names, object_names in zip(attr_home, object_home):
             attrs = _dot_escape(", ".join(attr_names))
             objs = _dot_escape(", ".join(object_names))

@@ -214,11 +214,6 @@ def _covering_pairs(extents: Sequence[int]) -> list[tuple[int, int]]:
     return covers
 
 
-def covering_relation(lat: ConceptLattice) -> list[tuple[int, int]]:
-    """The Hasse diagram of the lattice as (lower, upper) index pairs."""
-    return list(lat.covers)
-
-
 def _context_of(value: object) -> FormalContext | None:
     """The context of a concept record; any other value is refused as a non-member."""
     if not isinstance(value, FormalConcept):

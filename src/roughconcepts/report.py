@@ -15,9 +15,9 @@ from typing import Iterator, Sequence
 
 from .concepts import (
     ConceptApproximationMaps,
+    _rough_class_members,
     approximation_maps,
     indiscernibility_kernels,
-    rough_concept_classes,
 )
 from .context import ApproximationSpace, FormalContext, _names, definable_attributes
 from .errors import UndefinedMeasureError
@@ -106,8 +106,8 @@ def _kernels_data(maps: ConceptApproximationMaps) -> dict:
 
 def _rough_classes_data(maps: ConceptApproximationMaps) -> list[dict]:
     return [
-        {"members": list(c.members), "upper": c.upper_image.index, "lower": c.lower_image.index}
-        for c in rough_concept_classes(maps)
+        {"members": list(c), "upper": maps.to_upper[c[0]], "lower": maps.to_lower[c[0]]}
+        for c in _rough_class_members(maps)
     ]
 
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import random
 
 import pytest
@@ -133,3 +134,28 @@ def random_space(rng: random.Random, objects: tuple[str, ...]) -> ApproximationS
     for g, label in enumerate(labels):
         groups.setdefault(label, set()).add(g)
     return ApproximationSpace(objects, tuple(frozenset(v) for v in groups.values()))
+
+
+def set_partitions(items):
+    """Every partition of the list ``items``, as lists of blocks."""
+    if not items:
+        yield []
+        return
+    first, rest = items[0], items[1:]
+    for blocks in set_partitions(rest):
+        yield [[first], *blocks]
+        for i in range(len(blocks)):
+            yield [*blocks[:i], [first, *blocks[i]], *blocks[i + 1:]]
+
+
+def spaced_contexts_of_shape(n_objects, n_attributes):
+    """Every context of the shape, as (contexts, spaces): every partition of its objects."""
+    objects = tuple(f"g{g}" for g in range(n_objects))
+    attributes = tuple(f"m{m}" for m in range(n_attributes))
+    rows = [frozenset(r) for k in range(n_attributes + 1)
+            for r in itertools.combinations(range(n_attributes), k)]
+    contexts = [FormalContext(objects, attributes, table)
+                for table in itertools.product(rows, repeat=n_objects)]
+    spaces = [ApproximationSpace(objects, tuple(map(frozenset, blocks)))
+              for blocks in set_partitions(list(range(n_objects)))]
+    return contexts, spaces

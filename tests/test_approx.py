@@ -28,7 +28,7 @@ from roughconcepts import (
     upper_context,
 )
 
-from conftest import aset, oset, random_space, spaced_contexts
+from conftest import aset, oset, random_space, spaced_contexts, spaced_contexts_of_shape
 
 
 # ── approximation contexts ─────────────────────────────────────────────
@@ -276,30 +276,6 @@ def oracle_context(ctx, columns, which):
         for g in range(len(ctx.objects))
     )
     return FormalContext(ctx.objects, ctx.attributes, rows)
-
-
-def set_partitions(items):
-    if not items:
-        yield []
-        return
-    first, rest = items[0], items[1:]
-    for blocks in set_partitions(rest):
-        yield [[first], *blocks]
-        for i in range(len(blocks)):
-            yield [*blocks[:i], [first, *blocks[i]], *blocks[i + 1:]]
-
-
-def spaced_contexts_of_shape(n_objects, n_attributes):
-    """Every context of the shape, as (contexts, spaces): every partition of its objects."""
-    objects = tuple(f"g{g}" for g in range(n_objects))
-    attributes = tuple(f"m{m}" for m in range(n_attributes))
-    rows = [frozenset(r) for k in range(n_attributes + 1)
-            for r in itertools.combinations(range(n_attributes), k)]
-    contexts = [FormalContext(objects, attributes, table)
-                for table in itertools.product(rows, repeat=n_objects)]
-    spaces = [ApproximationSpace(objects, tuple(map(frozenset, blocks)))
-              for blocks in set_partitions(list(range(n_objects)))]
-    return contexts, spaces
 
 
 def assert_context_kernel_matches_oracle(space, ctx):

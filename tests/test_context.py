@@ -140,6 +140,29 @@ CONSTRUCTOR_ERRORS = [
         InvalidSetError,
         "attribute names must be nonempty strings, got 7",
     ),
+    # When several faults are present, the one the constructor meets first wins.
+    (
+        lambda: FormalContext(("a", "b"), ("m",), (frozenset({5}),)),
+        InvalidSetError,
+        "attribute index 5 out of range for universe of size 1",
+    ),
+    (
+        lambda: FormalContext(("a",), ("m", "n"), (frozenset({True}),)),
+        InvalidSetError,
+        "attribute index True is not an int",
+    ),
+    (
+        lambda: ApproximationSpace(
+            tuple("abcd"), (frozenset({2, 3}), frozenset({0, 3}), frozenset({1, 2}))
+        ),
+        PartitionError,
+        "object 'd' appears in more than one block",
+    ),
+    (
+        lambda: ApproximationSpace(("a", "b"), (frozenset({0, 7}), frozenset())),
+        InvalidSetError,
+        "object index 7 out of range for universe of size 2",
+    ),
 ]
 
 

@@ -21,7 +21,6 @@ from roughconcepts import (
     concept_lower_approx,
     concept_order,
     concept_upper_approx,
-    covering_relation,
     derive_extent,
     derive_intent,
     enumerate_concepts,
@@ -36,9 +35,10 @@ from roughconcepts import (
     upper_meet,
 )
 from roughconcepts.cli import _format_lattice
-from roughconcepts.report import _lattice_dict
+from roughconcepts.context import _mask
+from roughconcepts.report import _lattice_dict, _rough_classes_data
 
-from conftest import aset, contexts, oset, random_context
+from conftest import aset, contexts, oset, random_context, spaced_contexts_of_shape
 
 
 def brute_force_concept_count(ctx: FormalContext) -> int:
@@ -133,16 +133,25 @@ def brute_force_concepts(ctx: FormalContext) -> list[tuple[frozenset, frozenset]
 
 def test_enumeration_matches_brute_force_on_every_context_up_to_3x3():
     n_contexts = 0
-    for n_objects, n_attributes in itertools.product(range(4), repeat=2):
-        objects = tuple(f"g{g}" for g in range(n_objects))
-        attributes = tuple(f"m{m}" for m in range(n_attributes))
-        rows = [frozenset(r) for r in itertools.chain.from_iterable(
-            itertools.combinations(range(n_attributes), k) for k in range(n_attributes + 1))]
-        for table in itertools.product(rows, repeat=n_objects):
-            ctx = FormalContext(objects, attributes, table)
+    for shape in itertools.product(range(4), repeat=2):
+        for ctx in spaced_contexts_of_shape(*shape)[0]:
             lat = enumerate_concepts(ctx)
-            assert [(c.extent, c.intent) for c in lat] == brute_force_concepts(ctx), table
+            assert [(c.extent, c.intent) for c in lat] == brute_force_concepts(ctx), ctx.rows
             n_contexts += 1
+    assert n_contexts == 689
+
+
+def test_covers_and_masks_match_brute_force_on_every_context_up_to_3x3():
+    n_contexts = 0
+    for shape in itertools.product(range(4), repeat=2):
+        contexts, spaces = spaced_contexts_of_shape(*shape)
+        for ctx in contexts:
+            assert ctx._row_masks == tuple(map(_mask, ctx.rows))
+            lat = enumerate_concepts(ctx)
+            assert lat.covers == tuple(sorted(brute_force_covers(lat))), ctx.rows
+            n_contexts += 1
+        for space in spaces:
+            assert space._block_masks == tuple(map(_mask, space.blocks))
     assert n_contexts == 689
 
 
@@ -265,17 +274,17 @@ def test_two_element_chain_single_cover():
     ctx = FormalContext(("a",), ("m",), (frozenset(),))
     lat = enumerate_concepts(ctx)
     assert len(lat) == 2
-    assert covering_relation(lat) == [(1, 0)]
+    assert lat.covers == ((1, 0),)
 
 
 def test_covers_match_brute_force(living):
     lat = enumerate_concepts(living)
-    assert set(covering_relation(lat)) == brute_force_covers(lat)
+    assert set(lat.covers) == brute_force_covers(lat)
     rng = random.Random(123)
     for _ in range(10):
         ctx = random_context(rng, 5, 5)
         lat = enumerate_concepts(ctx)
-        assert set(covering_relation(lat)) == brute_force_covers(lat)
+        assert set(lat.covers) == brute_force_covers(lat)
 
 
 @given(contexts())
@@ -328,6 +337,7 @@ def test_covers_on_coarse_approximation_lattices():
 def test_covers_built_once_and_only_when_read(living, living_space):
     maps = approximation_maps(living_space, living)
     indiscernibility_kernels(maps)
+    _rough_classes_data(maps)
     lattices = (maps.base, maps.upper, maps.lower)
     assert all(c is None for lat in lattices for c in lat._built)
     rough_concept_classes(maps)

@@ -78,7 +78,7 @@ def test_every_public_name_resolves_and_is_listed():
     )
     result = _python("-c", probe)
     assert result.returncode == 0, result.stderr.decode()
-    assert result.stdout.decode().split(" ", 1) == ["62", "[]\n"]
+    assert result.stdout.decode().split(" ", 1) == ["61", "[]\n"]
 
 
 def test_submodules_resolve_and_unknown_names_raise():
