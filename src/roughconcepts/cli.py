@@ -3,11 +3,11 @@
 Exit codes: 0 success, 1 usage error, 2 parse error, 3 semantic error,
 4 resource cap exceeded.  Failures print a single machine-parsable line
 ``error: <category>: <message>`` to stderr and emit nothing on stdout.
-``report`` writes its JSON in chunks as it renders them, and only once
-nothing can fail.  A reader that closes stdout early (``| head``) is not
-a failure: the rest of the output is dropped, stderr stays empty and the
-exit code is 0, since the input was good and every byte written was
-correct (as when the whole output fits the pipe before the reader stops).
+Each command hands :func:`run_cli` its text in pieces once nothing can
+fail, and ``run_cli`` alone writes them.  A reader that closes stdout
+early (``| head``) is not a failure: the rest of the output is dropped,
+stderr stays empty and the exit code is 0, since the input was good and
+every byte written was correct (as when the whole output fits the pipe).
 
 Each command runs in a fresh interpreter, so the modules only some
 commands use (``approx``, ``concepts``, ``report``, ``rules`` and
@@ -20,8 +20,9 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from itertools import islice
 from pathlib import Path
-from typing import TYPE_CHECKING, Iterator
+from typing import TYPE_CHECKING, Iterable, Iterator
 
 from .context import ApproximationSpace, FormalContext, _names, definable_attributes, derive_extent
 from .errors import ConceptLimitError, ParseError, RoughConceptsError, UndefinedMeasureError
@@ -59,6 +60,7 @@ _FAILURES = (
     (OSError, "parse: cannot read input", EXIT_PARSE),
 )
 _MAX_MESSAGE = 500  # characters; a failure message may echo hostile input of any size
+_CHUNK = 256  # pieces of text per write; on an unbuffered stdout each write is a system call
 
 
 class _Parser(argparse.ArgumentParser):
@@ -196,14 +198,13 @@ def _attr_list(raw: str) -> list[str]:
     return [name.strip() for name in raw.split(",") if name.strip()]
 
 
-def _format_lattice(lat: ConceptLattice) -> str:
-    lines = [f"concepts {len(lat)}"]
+def _format_lattice(lat: ConceptLattice) -> Iterator[str]:
+    yield f"concepts {len(lat)}\n"
     for k, (extent, intent) in enumerate(_named_concepts(lat)):
-        lines.append(f"{k} extent={{{','.join(extent)}}} intent={{{','.join(intent)}}}")
-    lines.append(f"covers {len(lat.covers)}")
+        yield f"{k} extent={{{','.join(extent)}}} intent={{{','.join(intent)}}}\n"
+    yield f"covers {len(lat.covers)}\n"
     for low, high in lat.covers:
-        lines.append(f"{low} -> {high}")
-    return "\n".join(lines)
+        yield f"{low} -> {high}\n"
 
 
 def _parse_rule_option(ctx: FormalContext, raw: str) -> Implication:
@@ -215,8 +216,8 @@ def _parse_rule_option(ctx: FormalContext, raw: str) -> Implication:
     return Implication.of(ctx, _attr_list(premise), _attr_list(conclusion))
 
 
-def _dispatch(args: argparse.Namespace) -> str | Iterator[str]:
-    """The command's output: one string, or chunks to write in turn once nothing can fail."""
+def _dispatch(args: argparse.Namespace) -> Iterable[str]:
+    """The command's output, as pieces of text to write in turn once nothing can fail."""
     command = args.command
     if command == "extent" and args.strict_upper and args.approx != "upper":
         raise UsageError("argument --strict-upper: not allowed without --approx upper")
@@ -230,10 +231,10 @@ def _dispatch(args: argparse.Namespace) -> str | Iterator[str]:
     space = _load_space(args, doc)
 
     if command == "approx":
-        return render_context(ContextDocument(doc.format, _approximated(args.mode, space, ctx)))
+        return (render_context(ContextDocument(doc.format, _approximated(args.mode, space, ctx))),)
 
     if command == "definable":
-        return ",".join(_names(ctx.attributes, definable_attributes(_require_space(space), ctx)))
+        return (",".join(_names(ctx.attributes, definable_attributes(_require_space(space), ctx))),)
 
     if command == "extent":
         attrs = ctx.attribute_set(*_attr_list(args.attrs))
@@ -247,7 +248,7 @@ def _dispatch(args: argparse.Namespace) -> str | Iterator[str]:
             else:
                 compute = extent_upper_strict if args.strict_upper else extent_upper_free
             result = compute(_require_space(space), ctx, attrs)
-        return ",".join(_names(ctx.objects, result))
+        return (",".join(_names(ctx.objects, result)),)
 
     if command in ("assignments", "rough-classes"):
         import json
@@ -257,8 +258,8 @@ def _dispatch(args: argparse.Namespace) -> str | Iterator[str]:
 
         maps = approximation_maps(_require_space(space), ctx, args.max_concepts)
         if command == "rough-classes":
-            return json.dumps(_rough_classes_data(maps), indent=2)
-        return json.dumps({**_maps_data(maps), "kernels": _kernels_data(maps)}, indent=2)
+            return (json.dumps(_rough_classes_data(maps), indent=2),)
+        return (json.dumps({**_maps_data(maps), "kernels": _kernels_data(maps)}, indent=2),)
 
     if command == "rules":
         from .rules import Implication, certain_rule, implication_holds, possible_rule, rough_measure
@@ -266,15 +267,15 @@ def _dispatch(args: argparse.Namespace) -> str | Iterator[str]:
         implication = Implication.of(ctx, _attr_list(args.premise), _attr_list(args.conclusion))
         if args.measure:
             try:
-                return str(rough_measure(ctx, implication).value)
+                return (str(rough_measure(ctx, implication).value),)
             except UndefinedMeasureError:
-                return "undefined"
+                return ("undefined",)
         if args.certain or args.possible:
             modal = certain_rule if args.certain else possible_rule
             holds = modal(_require_space(space), ctx, implication)
         else:
             holds = implication_holds(ctx, implication)
-        return "true" if holds else "false"
+        return ("true" if holds else "false",)
 
     if command == "report":
         from .report import report_chunks
@@ -285,7 +286,7 @@ def _dispatch(args: argparse.Namespace) -> str | Iterator[str]:
 
     if command == "export":
         target = _approximated(args.which, space, ctx)
-        return export_dot(enumerate_concepts(target, args.max_concepts), args.labeling)
+        return (export_dot(enumerate_concepts(target, args.max_concepts), args.labeling),)
 
     raise UsageError(f"unknown command {command!r}")  # pragma: no cover
 
@@ -307,9 +308,11 @@ def run_cli(argv: list[str]) -> int:
         raise
 
     try:
-        for chunk in (output,) if isinstance(output, str) else output:
-            sys.stdout.write(chunk)
-        if not chunk.endswith("\n"):
+        pieces, text = iter(output), ""
+        while batch := list(islice(pieces, _CHUNK)):
+            text = "".join(batch)
+            sys.stdout.write(text)
+        if not text.endswith("\n"):
             sys.stdout.write("\n")
         sys.stdout.flush()
     except BrokenPipeError:
@@ -321,6 +324,7 @@ def run_cli(argv: list[str]) -> int:
 
 
 def main() -> None:
+    sys.stdout.reconfigure(encoding="utf-8")  # as the input files are, whatever the locale
     sys.exit(run_cli(sys.argv[1:]))
 
 

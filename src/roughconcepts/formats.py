@@ -237,6 +237,11 @@ def _string_list(data: dict, key: str) -> list[str]:
     value = data.get(key)
     if not isinstance(value, list) or not all(isinstance(x, str) for x in value):
         raise ParseError(f"{key!r} must be an array of strings")
+    for name in value:  # JSON escapes can spell lone surrogates, which no output can encode
+        try:
+            name.encode("utf-8")
+        except UnicodeEncodeError:
+            raise ParseError(f"{key!r} name {name!r} cannot be encoded as UTF-8") from None
     return value
 
 

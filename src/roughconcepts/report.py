@@ -2,14 +2,13 @@
 
 :func:`build_report` gives the report as plain data, and
 :func:`report_chunks` gives ``json.dumps`` of that data with ``indent=2``
-as text, in chunks, writing the lattice listings straight from the
+as pieces of text, writing the lattice listings straight from the
 concept masks.
 """
 
 from __future__ import annotations
 
 import json
-from itertools import islice
 from json.encoder import encode_basestring_ascii
 from typing import Iterator, Sequence
 
@@ -24,8 +23,6 @@ from .errors import UndefinedMeasureError
 from .formats import _blocks_data, _context_data
 from .lattice import DEFAULT_MAX_CONCEPTS, ConceptLattice, _named_concepts
 from .rules import Implication, certain_rule, implication_holds, possible_rule, rough_measure
-
-_CHUNK = 256  # concepts, or covers, per chunk of report text
 
 
 def _lattice_dict(lat: ConceptLattice) -> dict:
@@ -46,28 +43,19 @@ def _name_list(items: list[str]) -> str:
     return f"[{','.join(items)}\n          ]" if items else "[]"
 
 
-def _array(items: Iterator[str]) -> Iterator[str]:
-    """A JSON array of a lattice listing, from its items' text, ``_CHUNK`` items a chunk."""
-    opening = "["
-    while batch := list(islice(items, _CHUNK)):
-        yield opening + ",".join(batch)
-        opening = ","
-    yield "[]" if opening == "[" else "\n      ]"
-
-
 def _lattice_chunks(lat: ConceptLattice) -> Iterator[str]:
-    """The text of ``_lattice_dict(lat)`` at its depth in the report, in chunks."""
-    concepts = (
-        f'\n        {{\n          "index": {k},\n          "extent": {_name_list(extent)},'
-        f'\n          "intent": {_name_list(intent)}\n        }}'
-        for k, (extent, intent) in enumerate(_named_concepts(lat, _name_item))
-    )
-    covers = (f"\n        [\n          {low},\n          {high}\n        ]" for low, high in lat.covers)
-    yield '{\n      "concepts": '
-    yield from _array(concepts)
-    yield ',\n      "covers": '
-    yield from _array(covers)
-    yield "\n    }"
+    """The report text of ``_lattice_dict(lat)``, one concept or cover a piece."""
+    yield '{\n      "concepts": ['
+    for k, (extent, intent) in enumerate(_named_concepts(lat, _name_item)):
+        yield (
+            f'{"," if k else ""}\n        {{\n          "index": {k},'
+            f'\n          "extent": {_name_list(extent)},'
+            f'\n          "intent": {_name_list(intent)}\n        }}'
+        )
+    yield '\n      ],\n      "covers": ' + ("[" if lat.covers else "[]")
+    for k, (low, high) in enumerate(lat.covers):
+        yield f'{"," if k else ""}\n        [\n          {low},\n          {high}\n        ]'
+    yield "\n      ]\n    }" if lat.covers else "\n    }"
 
 
 def _rule_dict(
@@ -164,13 +152,13 @@ def report_chunks(
     rules: Sequence[Implication] = (),
     max_concepts: int = DEFAULT_MAX_CONCEPTS,
 ) -> Iterator[str]:
-    """``json.dumps(build_report(...), indent=2)``, as chunks of text to write in turn.
+    """``json.dumps(build_report(...), indent=2)``, as pieces of text to write in turn.
 
     Everything that can fail runs before this returns: the lattices under
     the cap, the rules and the small sections, which ``json.dumps`` renders.
     The lattice listings, nearly all of a large report, are then rendered
-    from the concept masks ``_CHUNK`` concepts or covers at a time, with each
-    name escaped once per lattice by the escaper ``json.dumps`` uses, so the
+    from the concept masks one concept or cover a piece, with each name
+    escaped once per lattice by the escaper ``json.dumps`` uses, so the
     text of a listing is never held whole.
     """
     maps = approximation_maps(space, ctx, max_concepts)

@@ -302,10 +302,29 @@ def test_oversized_csv_field_is_parse_error(capsys, tmp_path):
     assert err.startswith("error: parse:") and err.count("\n") == 1
 
 
-def test_reader_closing_stdout_early_ends_the_report_quietly(tmp_path):
-    # The contranominal scale on 9 objects: three lattices of 512 concepts, a
-    # report of about 600 KB in many chunks, far more than a pipe holds.
-    names = [f"o{i}" for i in range(9)]
+def _child(*argv, **env):
+    """A ``python -m roughconcepts.cli`` process on pipes, with ``env`` over this one's
+    environment; a variable given as None is removed."""
+    src = str(Path(__file__).parent.parent / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path, **env}
+    return subprocess.Popen(
+        [sys.executable, "-m", "roughconcepts.cli", *argv],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env={name: value for name, value in env.items() if value is not None},
+    )
+
+
+@pytest.mark.parametrize(
+    "command, first",
+    [(["report"], b"{"), (["lattice"], b"c"), (["export", "--dot"], b"d")],
+    ids=["report", "lattice", "export --dot"],
+)
+def test_reader_closing_stdout_early_ends_the_report_quietly(tmp_path, command, first):
+    # The contranominal scale on 10 objects: lattices of 1024 concepts, so each
+    # command writes more than a 64 KiB pipe holds (the report in many writes).
+    names = [f"o{i}" for i in range(10)]
     doc = {
         "objects": names,
         "attributes": names,
@@ -314,16 +333,9 @@ def test_reader_closing_stdout_early_ends_the_report_quietly(tmp_path):
     }
     context = tmp_path / "nominal.json"
     context.write_text(json.dumps(doc))
-    src = str(Path(__file__).parent.parent / "src")
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    proc = subprocess.Popen(
-        [sys.executable, "-m", "roughconcepts.cli", "report", "--context", str(context)],
-        stdout=subprocess.PIPE,
-        stderr=subprocess.PIPE,
-        env=env,
-    )
+    proc = _child(*command, "--context", str(context))
     try:
-        assert proc.stdout.read(1) == b"{"
+        assert proc.stdout.read(1) == first
         proc.stdout.close()
         err = proc.stderr.read()
         assert (proc.wait(timeout=60), err) == (EXIT_OK, b"")
@@ -331,6 +343,34 @@ def test_reader_closing_stdout_early_ends_the_report_quietly(tmp_path):
         proc.kill()
         proc.wait()
         proc.stderr.close()
+
+
+def test_output_is_utf8_whatever_the_locale_encoding(tmp_path):
+    (tmp_path / "u.cxt").write_text("B\n\n1\n1\n\n\u00fc\nm\nX\n", encoding="utf-8")
+    (tmp_path / "u.txt").write_text("\u00fc\n", encoding="utf-8")
+    context = ["--context", str(tmp_path / "u.cxt")]
+    space = ["--partition", str(tmp_path / "u.txt")]
+    for command in (["lattice"], ["export", "--dot"], ["extent", "--attrs", "m"], ["approx", "--mode", "upper", *space]):
+        runs = []
+        for encoding in ("ascii", None):
+            proc = _child(*command, *context, PYTHONIOENCODING=encoding)
+            out, err = proc.communicate(timeout=60)
+            runs.append((proc.returncode, err, out))
+        assert runs[0] == runs[1] and runs[0][:2] == (EXIT_OK, b""), command
+        assert "\u00fc".encode() in runs[0][2]
+
+
+@pytest.mark.parametrize(
+    "command",
+    [["lattice"], ["export", "--dot"], ["extent", "--attrs", "m"], ["report"]],
+    ids=" ".join,
+)
+def test_lone_surrogate_name_is_parse_error(capsys, tmp_path, command):
+    doc = tmp_path / "s.json"
+    doc.write_text('{"objects": ["\\ud800"], "attributes": ["m"], "incidence": [["\\ud800", "m"]]}')
+    code, out, err = run(capsys, *command, "--context", str(doc))
+    assert (code, out) == (EXIT_PARSE, "")
+    assert err.startswith("error: parse: 'objects' name") and err.count("\n") == 1
 
 
 # Modes that compute nothing from the partition.

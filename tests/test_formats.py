@@ -169,6 +169,20 @@ PARSE_ERRORS = [
     ("cxt", "B\n\n\u00b2\n1\n\na\nm\nX\n", "missing or invalid object count", 3, None),
     ("cxt", "B\n\n1\n" + "9" * 4301 + "\n\na\nm\nX\n", "missing or invalid attribute count", 4, None),
     ("json", '{"objects": [' + "1" * 4301 + "]}", "invalid JSON: integer has too many digits", None, None),
+    (
+        "json",
+        '{"objects": ["\\ud800"], "attributes": ["m"], "incidence": [["\\ud800", "m"]]}',
+        "'objects' name '\\ud800' cannot be encoded as UTF-8",
+        None,
+        None,
+    ),
+    (
+        "json",
+        '{"objects": [], "attributes": ["\\udfff"]}',
+        "'attributes' name '\\udfff' cannot be encoded as UTF-8",
+        None,
+        None,
+    ),
     ("partition", "Le, Br\n,\n", "empty block", 2, None),
     ("partition", "{Le, Br", "unclosed '{' in block list", 1, None),
     ("partition", "x {Le}", "unexpected text outside braces", 1, None),

@@ -155,6 +155,19 @@ def test_covers_and_masks_match_brute_force_on_every_context_up_to_3x3():
     assert n_contexts == 689
 
 
+def test_lattice_listing_names_the_records_on_every_context_up_to_3x3():
+    for shape in itertools.product(range(4), repeat=2):
+        for ctx in spaced_contexts_of_shape(*shape)[0]:
+            lat = enumerate_concepts(ctx)
+            lines = [f"concepts {len(lat)}"]
+            for k, c in enumerate(lat):
+                extent, intent = ctx.object_names(c.extent), ctx.attribute_names(c.intent)
+                lines.append(f"{k} extent={{{','.join(extent)}}} intent={{{','.join(intent)}}}")
+            lines.append(f"covers {len(lat.covers)}")
+            lines.extend(f"{low} -> {high}" for low, high in lat.covers)
+            assert "".join(_format_lattice(lat)) == "\n".join(lines) + "\n", ctx.rows
+
+
 def test_cap_bounds_the_work(living):
     size = len(enumerate_concepts(living))
     assert len(enumerate_concepts(living, max_concepts=size)) == size
@@ -359,7 +372,7 @@ def test_covers_built_once_and_only_when_read(living, living_space):
     # The renderers name every concept from its masks, building no record.
     for ctx in (living, maps.upper.context, maps.lower.context):
         lat = enumerate_concepts(ctx)
-        _format_lattice(lat)
+        "".join(_format_lattice(lat))
         _lattice_dict(lat)
         export_dot(lat, "full")
         export_dot(lat, "reduced")

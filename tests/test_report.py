@@ -2,13 +2,16 @@
 
 from __future__ import annotations
 
+import io
 import json
+import sys
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from roughconcepts import FormalContext, Implication, build_report, parse_context
-from roughconcepts.report import _CHUNK, report_chunks
+from roughconcepts.cli import _CHUNK, run_cli
+from roughconcepts.report import report_chunks
 
 from conftest import aset, spaced_contexts
 
@@ -93,12 +96,6 @@ def _json_document(ctx: FormalContext, blocks) -> tuple:
     return parsed.partition, parsed.context
 
 
-def _assert_text_is_the_dumped_report(space, ctx, rules) -> list[str]:
-    chunks = list(report_chunks(space, ctx, rules))
-    assert "".join(chunks) + "\n" == json.dumps(build_report(space, ctx, rules), indent=2) + "\n"
-    return chunks
-
-
 @settings(max_examples=60, deadline=None)
 @given(spaced_contexts(), st.data())
 def test_report_text_is_the_dumped_report(drawn, data):
@@ -106,20 +103,41 @@ def test_report_text_is_the_dumped_report(drawn, data):
     space, ctx = _json_document(ctx, space.blocks)
     attrs = st.frozensets(st.integers(0, len(ctx.attributes) - 1)) if ctx.attributes else st.just(frozenset())
     rules = data.draw(st.lists(st.builds(Implication, attrs, attrs), max_size=3))
-    _assert_text_is_the_dumped_report(space, ctx, rules)
+    assert "".join(report_chunks(space, ctx, rules)) == json.dumps(build_report(space, ctx, rules), indent=2)
 
 
-def test_report_text_of_lattices_larger_than_a_chunk():
+class _Recorder(io.StringIO):
+    """A text stream that keeps each write apart."""
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.writes: list[str] = []
+
+    def write(self, text: str) -> int:
+        self.writes.append(text)
+        return super().write(text)
+
+
+def test_report_text_of_lattices_larger_than_a_chunk(tmp_path, monkeypatch):
     # The contranominal scale on 9 objects has 2**9 concepts; one block of two
     # objects makes the approximation lattices differ from it.
     n = 9
-    ctx = FormalContext(
-        tuple(f"g{g}" for g in range(n)),
-        tuple(f"m{m}" for m in range(n)),
-        tuple(frozenset(range(n)) - {g} for g in range(n)),
-    )
-    space, ctx = _json_document(ctx, [{0, 1}, *({g} for g in range(2, n))])
+    names = [f"g{g}" for g in range(n)]
+    doc = {
+        "objects": names,
+        "attributes": [f"m{m}" for m in range(n)],
+        "incidence": [[f"g{g}", f"m{m}"] for g in range(n) for m in range(n) if g != m],
+        "partition": [names[:2], *([g] for g in names[2:])],
+    }
+    path = tmp_path / "nominal.json"
+    path.write_text(json.dumps(doc))
+    recorder = _Recorder()
+    monkeypatch.setattr(sys, "stdout", recorder)
+    assert run_cli(["report", "--context", str(path), "--rule", "=>m0,m1"]) == 0
+    parsed = parse_context(path.read_bytes(), "json")
     rules = [Implication(frozenset(), frozenset({0, 1}))]
-    chunks = _assert_text_is_the_dumped_report(space, ctx, rules)
-    listed = [chunk.count('"index": ') for chunk in chunks]
+    report = build_report(parsed.partition, parsed.context, rules)
+    assert len(report["lattices"]["base"]["concepts"]) == 2**n
+    assert recorder.getvalue() == json.dumps(report, indent=2) + "\n"
+    listed = [text.count('"index": ') for text in recorder.writes]
     assert max(listed) == _CHUNK and sum(listed) > 2 * _CHUNK
