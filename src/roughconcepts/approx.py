@@ -179,7 +179,7 @@ def contexts_roughly_equal(
     return space._block_rows(first) == space._block_rows(second)
 
 
-class RoughFormalContext(Record, eq=False):
+class RoughFormalContext(Record, hidden=("space", "representative")):
     """A context bundled with its two definable approximations.
 
     All contexts sharing both approximations form one rough context, so
@@ -199,14 +199,6 @@ class RoughFormalContext(Record, eq=False):
             and relation_subset(self.representative, self.upper)
         ):
             raise ValueError("approximations do not sandwich the representative context")
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, RoughFormalContext):
-            return NotImplemented
-        return self.upper == other.upper and self.lower == other.lower
-
-    def __hash__(self) -> int:
-        return hash((self.upper, self.lower))
 
 
 def rough_context(space: ApproximationSpace, ctx: FormalContext) -> RoughFormalContext:

@@ -325,6 +325,7 @@ def run_cli(argv: list[str]) -> int:
 
 def main() -> None:
     sys.stdout.reconfigure(encoding="utf-8")  # as the input files are, whatever the locale
+    sys.stderr.reconfigure(encoding="utf-8")
     sys.exit(run_cli(sys.argv[1:]))
 
 

@@ -47,16 +47,31 @@ def _names(names: tuple[str, ...], indices: Iterable[int]) -> tuple[str, ...]:
     return tuple(names[i] for i in sorted(indices))
 
 
-def _unique_names(names: Iterable[str], kind: str) -> tuple[str, ...]:
-    out = tuple(names)
-    seen: set[str] = set()
-    for name in out:
+def _name_index(names: Iterable[str], kind: str) -> dict[str, int]:
+    """Each name's position, built in the walk that checks names are nonempty and distinct."""
+    index: dict[str, int] = {}
+    for name in names:
         if not isinstance(name, str) or not name:
             raise InvalidSetError(f"{kind} names must be nonempty strings, got {name!r}")
-        if name in seen:
+        if name in index:
             raise DuplicateNameError(f"duplicate {kind} name {name!r}")
-        seen.add(name)
-    return out
+        index[name] = len(index)
+    return index
+
+
+def _keep_names(record: Record, field: str, kind: str) -> None:
+    """Check the names of ``record.<field>`` and keep their index as ``_<kind>_index``."""
+    index = _name_index(getattr(record, field), kind)
+    object.__setattr__(record, field, tuple(index))
+    object.__setattr__(record, f"_{kind}_index", index)
+
+
+def _lookup(index: dict[str, int], name: str, kind: str) -> int:
+    """The position of a name: the one place an unknown name is rejected."""
+    try:
+        return index[name]
+    except KeyError:
+        raise UnknownNameError(f"unknown {kind} {name!r}") from None
 
 
 def _uncovered_message(names: Sequence[str]) -> str:
@@ -93,16 +108,10 @@ class _ObjectIndex:
     """Name and index helpers for a class with an ``objects`` name tuple."""
 
     objects: tuple[str, ...]
-
-    @cached_property
-    def _object_index(self) -> dict[str, int]:
-        return {name: i for i, name in enumerate(self.objects)}
+    _object_index: dict[str, int]
 
     def object_index(self, name: str) -> int:
-        try:
-            return self._object_index[name]
-        except KeyError:
-            raise UnknownNameError(f"unknown object {name!r}") from None
+        return _lookup(self._object_index, name, "object")
 
     def object_set(self, *names: str) -> ObjectSet:
         return frozenset(self.object_index(name) for name in names)
@@ -125,8 +134,8 @@ class FormalContext(Record, _ObjectIndex):
     rows: tuple[AttributeSet, ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "objects", _unique_names(self.objects, "object"))
-        object.__setattr__(self, "attributes", _unique_names(self.attributes, "attribute"))
+        _keep_names(self, "objects", "object")
+        _keep_names(self, "attributes", "attribute")
         checked = [_checked_mask(row, len(self.attributes), "attribute") for row in self.rows]
         if len(checked) != len(self.objects):
             raise InvalidSetError(f"expected {len(self.objects)} incidence rows, got {len(checked)}")
@@ -143,30 +152,17 @@ class FormalContext(Record, _ObjectIndex):
         pairs: Iterable[tuple[str, str]],
     ) -> "FormalContext":
         """Build a context from (object name, attribute name) pairs."""
-        objects = _unique_names(objects, "object")
-        attributes = _unique_names(attributes, "attribute")
-        obj_index = {name: i for i, name in enumerate(objects)}
-        attr_index = {name: i for i, name in enumerate(attributes)}
-        rows: list[set[int]] = [set() for _ in objects]
+        obj_index = _name_index(objects, "object")
+        attr_index = _name_index(attributes, "attribute")
+        rows: list[set[int]] = [set() for _ in obj_index]
         for obj, attr in pairs:
-            if obj not in obj_index:
-                raise UnknownNameError(f"unknown object {obj!r}")
-            if attr not in attr_index:
-                raise UnknownNameError(f"unknown attribute {attr!r}")
-            rows[obj_index[obj]].add(attr_index[attr])
-        return cls(objects, attributes, tuple(frozenset(r) for r in rows))
+            rows[_lookup(obj_index, obj, "object")].add(_lookup(attr_index, attr, "attribute"))
+        return cls(tuple(obj_index), tuple(attr_index), tuple(frozenset(r) for r in rows))
 
     # -- name/index helpers --------------------------------------------------
 
-    @cached_property
-    def _attribute_index(self) -> dict[str, int]:
-        return {name: i for i, name in enumerate(self.attributes)}
-
     def attribute_index(self, name: str) -> int:
-        try:
-            return self._attribute_index[name]
-        except KeyError:
-            raise UnknownNameError(f"unknown attribute {name!r}") from None
+        return _lookup(self._attribute_index, name, "attribute")
 
     def attribute_set(self, *names: str) -> AttributeSet:
         return frozenset(self.attribute_index(name) for name in names)
@@ -247,7 +243,7 @@ class ApproximationSpace(Record, _ObjectIndex):
     blocks: tuple[ObjectSet, ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "objects", _unique_names(self.objects, "object"))
+        _keep_names(self, "objects", "object")
         checked = []
         covered = 0
         for block in [frozenset(block) for block in self.blocks]:  # each a set before any check
@@ -273,19 +269,17 @@ class ApproximationSpace(Record, _ObjectIndex):
         cls, objects: Sequence[str], named_blocks: Iterable[Sequence[str]]
     ) -> "ApproximationSpace":
         """Build a space from blocks given as lists of object names."""
-        objects = _unique_names(objects, "object")
-        index = {name: i for i, name in enumerate(objects)}
+        index = _name_index(objects, "object")
         blocks: list[frozenset[int]] = []
         for block in named_blocks:
             ids = set()
             for name in block:
-                if name not in index:
-                    raise UnknownNameError(f"unknown object {name!r}")
-                if index[name] in ids:
+                g = _lookup(index, name, "object")
+                if g in ids:
                     raise PartitionError(f"object {name!r} listed twice within a block")
-                ids.add(index[name])
+                ids.add(g)
             blocks.append(frozenset(ids))
-        return cls(objects, tuple(blocks))
+        return cls(tuple(index), tuple(blocks))
 
     @classmethod
     def identity(cls, objects: Sequence[str]) -> "ApproximationSpace":

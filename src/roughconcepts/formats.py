@@ -3,7 +3,10 @@
 Three context formats are supported: Burmeister ``.cxt`` (the FCA
 interchange format), CSV with X/blank cells, and a self-describing JSON
 document that can also embed a partition.  All renderers are
-deterministic and round-trip through their parsers.
+deterministic, and their output parses back to the same context, except
+that the ``.cxt`` and CSV parsers strip surrounding whitespace from names
+(a name that strips to empty or to another name is then rejected), and
+a ``.cxt`` file cannot hold a name with a line break.
 """
 
 from __future__ import annotations
@@ -85,7 +88,7 @@ def parse_context(data: str | bytes, format: str) -> ContextDocument:
 
 
 def render_context(doc: ContextDocument) -> str:
-    """Deterministic text for the document, parseable back to an equal one."""
+    """Deterministic text for the document; the module notes say which names do not survive."""
     if doc.format == "cxt":
         return _render_cxt(doc.context)
     if doc.format == "csv":
@@ -166,6 +169,9 @@ def _parse_cxt(text: str) -> FormalContext:
 
 
 def _render_cxt(ctx: FormalContext) -> str:
+    for name in ctx.objects + ctx.attributes:  # one name a line, so a line break would split it
+        if "\n" in name or "\r" in name:
+            raise ValueError(f"name {name!r} contains a line break, which a .cxt file cannot hold")
     out = ["B", "", str(len(ctx.objects)), str(len(ctx.attributes)), ""]
     out.extend(ctx.objects)
     out.extend(ctx.attributes)

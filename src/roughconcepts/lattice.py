@@ -143,6 +143,8 @@ def enumerate_concepts(
     concept (A, B) hands A ∩ j' down to its child for attribute j, and a child whose
     intent gains an attribute below j outside B is dropped, so each concept is found once.
     """
+    if type(max_concepts) is not int or max_concepts < 0:
+        raise ValueError(f"max_concepts must be a nonnegative int, got {max_concepts!r}")
     columns = ctx._col_masks
     attributes = [(m, 1 << m, ~c) for m, c in enumerate(columns)]  # (m, bit, objects lacking m)
     extent = (1 << len(ctx.objects)) - 1

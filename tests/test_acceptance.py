@@ -38,7 +38,7 @@ from roughconcepts import (
     upper_meet,
 )
 
-from conftest import aset, oset, random_context, random_space
+from conftest import aset, oset, random_context, random_space, spaced_contexts_of_shape
 
 SEED = 20260810
 PROPERTY_CASES = 500
@@ -458,6 +458,46 @@ def test_criterion_09_property_suite():
                 for clause, count in sorted(failures.items())
             )
             raise AssertionError(f"property failures - {breakdown}")
+
+
+def test_criterion_09_laws_on_every_small_context():
+    """Every criterion 09 clause on every context of shape up to 3×2 and 2×3,
+    under every partition of its objects (3×3 would take about 4 s).
+
+    At 3×3 the upper counit up(lower_join(d)) ≤ d, the half of the upper
+    adjunction that is not a theorem, fails for some upper concept d on
+    exactly 108 of the 2,560 pairs.
+    """
+    rng = random.Random(SEED)
+    strict_witnesses = counit_failures = 0
+    for shape in itertools.product(range(4), repeat=2):
+        contexts, spaces = spaced_contexts_of_shape(*shape)
+        for ctx, space in itertools.product(contexts, spaces):
+            maps = approximation_maps(space, ctx)
+            ups = [concept_upper_approx(maps, c) for c in maps.base]
+            joins = [lower_join(maps, d) for d in maps.upper]
+            if shape == (3, 3):
+                counit_failures += any(
+                    not concept_leq(ups[joins[d.index].index], d) for d in maps.upper
+                )
+                continue
+            _check_galois(ctx)
+            _check_context_approx_laws(space, ctx)
+            _check_extremal_definable(space, ctx)
+            strict_witnesses += _check_strict_free(rng, space, ctx)
+            los = [concept_lower_approx(maps, c) for c in maps.base]
+            meets = [upper_meet(maps, d) for d in maps.lower]
+            _check_upper_definition(maps, ups)
+            _check_upper_inclusion(maps, ups)
+            _check_upper_monotone(maps, ups)
+            _check_upper_unit(maps, ups, joins)
+            _check_upper_half_adjunction(maps, ups, joins)
+            _check_adjunction_lower(maps, los, meets)
+            _check_upper_subjoin(maps, ups)
+            _check_meet_preservation(maps, los)
+            _check_crispness(space, ctx)
+    assert strict_witnesses >= 1
+    assert counit_failures == 108
 
 
 # ── criterion 10 ────────────────────────────────────────────────────

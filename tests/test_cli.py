@@ -350,14 +350,21 @@ def test_output_is_utf8_whatever_the_locale_encoding(tmp_path):
     (tmp_path / "u.txt").write_text("\u00fc\n", encoding="utf-8")
     context = ["--context", str(tmp_path / "u.cxt")]
     space = ["--partition", str(tmp_path / "u.txt")]
-    for command in (["lattice"], ["export", "--dot"], ["extent", "--attrs", "m"], ["approx", "--mode", "upper", *space]):
+    for command, expected in [
+        (["lattice"], EXIT_OK),
+        (["export", "--dot"], EXIT_OK),
+        (["extent", "--attrs", "m"], EXIT_OK),
+        (["approx", "--mode", "upper", *space], EXIT_OK),
+        (["extent", "--attrs", "\u00fc"], EXIT_SEMANTIC),  # the error: line names it
+    ]:
         runs = []
         for encoding in ("ascii", None):
             proc = _child(*command, *context, PYTHONIOENCODING=encoding)
             out, err = proc.communicate(timeout=60)
             runs.append((proc.returncode, err, out))
-        assert runs[0] == runs[1] and runs[0][:2] == (EXIT_OK, b""), command
-        assert "\u00fc".encode() in runs[0][2]
+        code, err, out = runs[0]
+        assert runs[0] == runs[1] and code == expected, command
+        assert "\u00fc".encode() in (err if code else out) and not (out if code else err)
 
 
 @pytest.mark.parametrize(

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import re
 from pathlib import Path
 
 import pytest
@@ -9,6 +10,7 @@ import pytest
 from roughconcepts import (
     ApproximationSpace,
     ContextDocument,
+    FormalContext,
     ParseError,
     derive_extent,
     enumerate_concepts,
@@ -67,6 +69,13 @@ def test_json_keeps_names_as_written():
     with pytest.raises(ParseError) as info:
         parse_context('{"objects": [""], "attributes": []}', "json")
     assert (info.value.line, info.value.column) == (None, None)
+
+
+@pytest.mark.parametrize("name", ["b\nc", "b\rc"], ids=repr)
+def test_cxt_rejects_a_name_it_cannot_write(name):
+    for ctx in (FormalContext((name,), ("m",), (frozenset({0}),)), FormalContext(("g",), (name,), ((),))):
+        with pytest.raises(ValueError, match=re.escape(f"name {name!r} contains a line break")):
+            render_context(ContextDocument("cxt", ctx))
 
 
 def test_empty_csv_header_only():

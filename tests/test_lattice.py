@@ -17,6 +17,7 @@ from roughconcepts import (
     FormalContext,
     LatticeMismatchError,
     approximation_maps,
+    build_report,
     concept_leq,
     concept_lower_approx,
     concept_order,
@@ -182,6 +183,17 @@ def test_cap_bounds_the_work(living):
     with pytest.raises(ConceptLimitError, match="more than 1000 concepts"):
         enumerate_concepts(scale, max_concepts=1000)
     assert time.process_time() - start < 1.0
+
+
+@pytest.mark.parametrize("cap", [-1, True, 2.5], ids=repr)
+def test_malformed_cap_is_rejected(living, living_space, cap):
+    for build in (
+        lambda: enumerate_concepts(living, cap),
+        lambda: approximation_maps(living_space, living, cap),
+        lambda: build_report(living_space, living, max_concepts=cap),
+    ):
+        with pytest.raises(ValueError, match=f"^max_concepts must be a nonnegative int, got {cap!r}$"):
+            build()
 
 
 # ── order ────────────────────────────────────────────────────────────
